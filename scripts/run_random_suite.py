@@ -30,6 +30,7 @@ def main(argv=None):
             "version": "1",
             "field": {"char": args.char},
             "suite": {
+                "chars": [args.char],
                 "count": args.count,
                 "max_feet": args.max_feet,
                 "max_bulk": args.max_bulk,

@@ -14,9 +14,9 @@ from .exactlin import (
     Field,
     Matrix,
     direct_sum,
+    extend_columns,
     hstack,
     image_basis,
-    invert,
     kernel_basis,
     rank,
     solve_left,
@@ -110,20 +110,6 @@ def injection1(A: VecObj, B: VecObj) -> LinMap:
     ))
 
 
-def projection0(A: VecObj, B: VecObj) -> LinMap:
-    """First biproduct projection ``A (+) B -> A``."""
-    return LinMap(obj_sum(A, B), A, hstack(
-        Matrix.identity(A.field, A.dim), Matrix.zeros(A.field, A.dim, B.dim)
-    ))
-
-
-def projection1(A: VecObj, B: VecObj) -> LinMap:
-    """Second biproduct projection ``A (+) B -> B``."""
-    return LinMap(obj_sum(A, B), B, hstack(
-        Matrix.zeros(B.field, B.dim, A.dim), Matrix.identity(B.field, B.dim)
-    ))
-
-
 def diagonal(A: VecObj) -> LinMap:
     """The diagonal ``A -> A (+) A``, two stacked identities."""
     i = Matrix.identity(A.field, A.dim)
@@ -153,41 +139,22 @@ def kernel(f: LinMap) -> LinMap:
 def cokernel(f: LinMap) -> LinMap:
     """The cokernel as a canonical epimorphism out of ``f.dst``.
 
-    The image basis is completed to a full basis by unit vectors taken in
+    The image is completed to a full basis by unit vectors taken greedily in
     increasing coordinate order; the returned matrix consists of the dual
     coordinates along those unit vectors. Equal images therefore give
     bit-identical cokernel matrices, and ``cokernel(f) . f == 0``.
+
+    One elimination of ``[f | I]`` does it all: its pivots past ``f`` are the
+    greedy unit completion, and the identity block is the row operation ``E``
+    with ``E f`` in echelon form. The last ``n - rank f`` rows of ``E`` kill
+    the image and are the identity on the kept units, which pins them down
+    as the dual coordinates along those units.
     """
-    n = f.dst.dim
-    field = f.mat.field
-    B = image_basis(f.mat)
-    r = B.cols
-    if r == n:
-        P = B
-    else:
-        cols = [B.column(j) for j in range(r)]
-        completed = []
-        cur_rank = r
-        for j in range(n):
-            unit = tuple(
-                field.one() if i == j else field.zero() for i in range(n)
-            )
-            cand = cols + completed + [unit]
-            cm = Matrix(field, n, len(cand), tuple(
-                tuple(c[i] for c in cand) for i in range(n)
-            ))
-            if rank(cm) > cur_rank:
-                completed.append(unit)
-                cur_rank += 1
-                if cur_rank == n:
-                    break
-        allcols = cols + completed
-        P = Matrix(field, n, n, tuple(
-            tuple(c[i] for c in allcols) for i in range(n)
-        ))
-    Pinv = invert(P) if n else Matrix.zeros(field, 0, 0)
-    Q = VecObj(field, n - r)
-    return LinMap(f.dst, Q, Pinv.take_rows(range(r, n)))
+    field, n, m = f.mat.field, f.dst.dim, f.src.dim
+    kept, red = extend_columns(f.mat, Matrix.identity(field, n))
+    k = len(kept)
+    rows = tuple(row[m:] for row in red.R.entries[n - k:])
+    return LinMap(f.dst, VecObj(field, k), Matrix(field, k, n, rows))
 
 
 @dataclass(frozen=True)

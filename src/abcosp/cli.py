@@ -312,16 +312,12 @@ def dumps_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _class_payload(cls: cospan.CanonicalClass) -> dict:
-    return brown.class_payload(cls)
-
-
 def _cospan_payload(c: cospan.Cospan) -> dict:
     return {
         "bulk_dim": c.bulk.dim,
         "leg0": matrix_to_rows(c.f0.mat),
         "leg1": matrix_to_rows(c.f1.mat),
-        "class": _class_payload(cospan.canonical_cosp(c)),
+        "class": brown.class_payload(cospan.canonical_cosp(c)),
     }
 
 
@@ -330,7 +326,7 @@ def _span_payload(s: cospan.Span) -> dict:
         "bulk_dim": s.bulk.dim,
         "leg0": matrix_to_rows(s.g0.mat),
         "leg1": matrix_to_rows(s.g1.mat),
-        "class": _class_payload(cospan.canonical_span(s)),
+        "class": brown.class_payload(cospan.canonical_span(s)),
     }
 
 
@@ -376,7 +372,7 @@ def _run_value(command: str, doc: Document, flags: dict):
         cls = (
             cospan.canonical_cosp(v) if kind == "cospan" else cospan.canonical_span(v)
         )
-        return "value", {"kind": kind, "class": _class_payload(cls)}, None
+        return "value", {"kind": kind, "class": brown.class_payload(cls)}, None
     if command == "equiv":
         kind, left, right = _pair(doc)
         eq = (
@@ -440,7 +436,7 @@ def _run_value(command: str, doc: Document, flags: dict):
             "value",
             {
                 "feet": [ext.feet[0].dim, ext.feet[1].dim],
-                "class": _class_payload(ext.cls),
+                "class": brown.class_payload(ext.cls),
             },
             None,
         )
@@ -453,7 +449,7 @@ def _run_value(command: str, doc: Document, flags: dict):
             "value",
             {
                 "feet": [ext.feet[0].dim, ext.feet[1].dim],
-                "class": _class_payload(ext.cls),
+                "class": brown.class_payload(ext.cls),
             },
             None,
         )
@@ -492,68 +488,66 @@ def _run_verify(doc: Document, flags: dict):
     return outcome, {"reports": reports}, (bad[0] if bad else None)
 
 
+def _oracle_pairs(field: Field, max_feet, max_bulk, samples, sample_bulk, seed):
+    """Pairs for the oracle, each with whether to run the mono search too:
+    every pair of the exhaustive pools (both searches), then seeded samples
+    (the upper-bound search only)."""
+    for a0 in range(max_feet + 1):
+        for a1 in range(max_feet + 1):
+            pool = list(generators.enum_cospans_gf2(field, a0, a1, max_bulk))
+            for c in pool:
+                for d in pool:
+                    yield c, d, True
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a0, a1 = rng.randint(0, max_feet), rng.randint(0, max_feet)
+        c = generators.rand_cospan(rng, field, a0, a1, sample_bulk)
+        d = generators.rand_cospan(rng, field, a0, a1, sample_bulk)
+        yield c, d, False
+
+
 def _run_oracle(doc: Document, flags: dict):
     if doc.field.characteristic != 2:
         raise ValidationError("oracle: the brute-force oracle runs over GF(2)")
     params = doc.data.get("oracle", {})
-    max_feet = int(params.get("max_feet", 2))
-    max_bulk = int(params.get("max_bulk", 1))
-    samples = int(params.get("samples", 200))
-    sample_bulk = int(params.get("max_sample_bulk", 2))
-    seed = flags.get("seed") or 0
+    pairs = _oracle_pairs(
+        doc.field,
+        int(params.get("max_feet", 2)),
+        int(params.get("max_bulk", 1)),
+        int(params.get("samples", 200)),
+        int(params.get("max_sample_bulk", 2)),
+        flags.get("seed") or 0,
+    )
     checked = 0
-    for a0 in range(max_feet + 1):
-        for a1 in range(max_feet + 1):
-            pool = list(
-                generators.enum_cospans_gf2(doc.field, a0, a1, max_bulk)
-            )
-            for c in pool:
-                for d in pool:
-                    if cospan.equiv_cosp(c, d) != generators.brute_force_upper_bound_gf2(c, d):
-                        return (
-                            "fail",
-                            {"checked": checked},
-                            {
-                                "left": _cospan_payload(c),
-                                "right": _cospan_payload(d),
-                                "disagreement": "equiv vs upper-bound search",
-                            },
-                        )
-                    if (cospan.leq_cosp(c, d) is not None) != generators.brute_force_leq_gf2(c, d):
-                        return (
-                            "fail",
-                            {"checked": checked},
-                            {
-                                "left": _cospan_payload(c),
-                                "right": _cospan_payload(d),
-                                "disagreement": "leq vs mono search",
-                            },
-                        )
-                    checked += 1
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a0, a1 = rng.randint(0, max_feet), rng.randint(0, max_feet)
-        c = generators.rand_cospan(rng, doc.field, a0, a1, sample_bulk)
-        d = generators.rand_cospan(rng, doc.field, a0, a1, sample_bulk)
+    for c, d, with_leq in pairs:
         if cospan.equiv_cosp(c, d) != generators.brute_force_upper_bound_gf2(c, d):
-            return (
-                "fail",
-                {"checked": checked},
-                {
-                    "left": _cospan_payload(c),
-                    "right": _cospan_payload(d),
-                    "disagreement": "equiv vs upper-bound search",
-                },
-            )
-        checked += 1
+            disagreement = "equiv vs upper-bound search"
+        elif with_leq and (
+            cospan.leq_cosp(c, d) is not None
+        ) != generators.brute_force_leq_gf2(c, d):
+            disagreement = "leq vs mono search"
+        else:
+            checked += 1
+            continue
+        return (
+            "fail",
+            {"checked": checked},
+            {
+                "left": _cospan_payload(c),
+                "right": _cospan_payload(d),
+                "disagreement": disagreement,
+            },
+        )
     return "pass", {"checked": checked}, None
 
 
 def _suite_fields(chars) -> list:
-    out = []
-    for ch in chars:
-        out.append(Field(int(ch)))
-    return out
+    if not isinstance(chars, list) or not chars:
+        raise ValidationError("suite.chars: need a non-empty list of characteristics")
+    try:
+        return [Field(int(ch)) for ch in chars]
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"suite.chars: {e}") from e
 
 
 def _run_random_suite(doc: Document, flags: dict):

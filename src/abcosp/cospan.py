@@ -36,11 +36,10 @@ from .abcat import (
 )
 from .exactlin import (
     Matrix,
+    extend_columns,
     hstack,
     image_basis,
-    invert,
     kernel_basis,
-    rank,
     rref,
     solve_right,
     vstack,
@@ -246,36 +245,20 @@ def equiv_span(s: Span, t: Span) -> bool:
     return canonical_span(s) == canonical_span(t)
 
 
-def _greedy_unit_completion(field, basis_cols: list, ambient: int, want: int):
-    """Unit vectors, in increasing index order, extending ``basis_cols`` to
-    an independent family; stops after ``want`` additions."""
-    added = []
-    cur = list(basis_cols)
-    cur_rank = len(basis_cols)
-    for j in range(ambient):
-        if len(added) == want:
-            break
-        unit = tuple(
-            field.one() if i == j else field.zero() for i in range(ambient)
-        )
-        cand = cur + [unit]
-        cm = Matrix(field, ambient, len(cand), tuple(
-            tuple(col[i] for col in cand) for i in range(ambient)
-        ))
-        if rank(cm) > cur_rank:
-            cur.append(unit)
-            added.append(unit)
-            cur_rank += 1
-    return added
-
-
 def _mono_witness(v: Matrix, vp: Matrix) -> Optional[Matrix]:
     """A full-column-rank ``G`` with ``G @ v == vp``, when one exists.
 
     Exists exactly when the two matrices have equal kernels and ``v`` has no
     more rows than ``vp``. Built by sending the pivot columns of ``v`` to the
     matching columns of ``vp`` and a greedy unit complement of the image of
-    ``v`` to a greedy unit complement of the image of ``vp``.
+    ``v`` to a greedy unit complement of the image of ``vp``, i.e.
+    ``G = Q @ inverse(P)`` with ``P = [v_J | E]`` and ``Q = [vp_J | E']``.
+
+    Each complement is read off one elimination, of ``[v_J | I]`` and of
+    ``[vp_J | I]``: a unit is a pivot exactly when it is independent of the
+    columns before it, which is the greedy rule. The identity block of the
+    first reduced form is the row operation taking ``P`` to the identity, so
+    it is ``inverse(P)`` itself.
     """
     field = v.field
     b, bp = v.rows, vp.rows
@@ -283,22 +266,14 @@ def _mono_witness(v: Matrix, vp: Matrix) -> Optional[Matrix]:
         return None
     if image_basis(kernel_basis(v)) != image_basis(kernel_basis(vp)):
         return None
-    red = rref(v)
-    J = red.pivots
+    J = rref(v).pivots
     r = len(J)
-    vcols = [v.column(j) for j in J]
-    vpcols = [vp.column(j) for j in J]
-    E = _greedy_unit_completion(field, vcols, b, b - r)
-    Ep = _greedy_unit_completion(field, vpcols, bp, b - r)
-    Pcols = vcols + E
-    Qcols = vpcols + Ep
-    P = Matrix(field, b, b, tuple(
-        tuple(col[i] for col in Pcols) for i in range(b)
-    ))
-    Q = Matrix(field, bp, b, tuple(
-        tuple(col[i] for col in Qcols) for i in range(bp)
-    ))
-    G = Q @ invert(P) if b else Matrix.zeros(field, bp, 0)
+    _, red = extend_columns(v.take_cols(J), Matrix.identity(field, b))
+    Pinv = Matrix(field, b, b, tuple(row[r:] for row in red.R.entries))
+    vpJ = vp.take_cols(J)
+    units = Matrix.identity(field, bp)
+    Ep, _ = extend_columns(vpJ, units)
+    G = hstack(vpJ, units.take_cols(Ep[:b - r])) @ Pinv
     if (G @ v) != vp:
         raise AssertionError("internal defect: assembled witness fails")
     return G

@@ -25,10 +25,10 @@ from .exactlin import (
     Field,
     Matrix,
     direct_sum,
+    extend_columns,
     hstack,
     image_basis,
     kernel_basis,
-    rank,
     solve_right,
     vstack,
 )
@@ -786,19 +786,12 @@ def homology(C: ChainComplex, q: int) -> HomologyData:
 
     Representatives are chosen greedily from the canonical kernel basis: a
     kernel column is kept whenever it is independent of the boundaries and
-    the representatives already kept.
+    the representatives already kept. Those are the pivot columns past the
+    boundaries in one elimination of ``[B | Z]``.
     """
     Z = kernel_basis(C.diff_mat(q))
     B = image_basis(C.diff_mat(q + 1))
-    kept = []
-    cur = B
-    r = rank(cur)
-    for j in range(Z.cols):
-        cand = hstack(cur, Z.take_cols([j]))
-        rc = rank(cand)
-        if rc > r:
-            kept.append(j)
-            cur, r = cand, rc
+    kept, _ = extend_columns(B, Z)
     reps = Z.take_cols(kept)
     return HomologyData(VecObj(C.field, reps.cols), reps, B, hstack(B, reps))
 

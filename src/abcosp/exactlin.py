@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -336,6 +336,19 @@ def rref(M: Matrix) -> Rref:
 
 def rank(M: Matrix) -> int:
     return rref(M).rank
+
+
+def extend_columns(base: Matrix, cands: Matrix) -> Tuple[Tuple[int, ...], Rref]:
+    """Greedily extend the column span of ``base`` by columns of ``cands``.
+
+    Candidate ``j`` is kept when it is independent of ``base`` and of the
+    candidates kept before it. Those are exactly the pivot columns of
+    ``rref([base | cands])`` past ``base``, so one elimination decides them
+    all. Returns the kept candidate indices and that reduced form.
+    """
+    red = rref(hstack(base, cands))
+    b = base.cols
+    return tuple(pc - b for pc in red.pivots if pc >= b), red
 
 
 def kernel_basis(M: Matrix) -> Matrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .abcat import LinMap, SquareDiagram, VecObj, cokernel, compose
 from .cospan import Cospan, Span
@@ -24,7 +24,7 @@ from .cw import (
     make_simplicial_map,
     simplex_set,
 )
-from .exactlin import Field, Matrix, hstack, kernel_basis, rank, vstack
+from .exactlin import Field, Matrix, rank, vstack
 
 
 def rand_scalar(rng: random.Random, field: Field):
@@ -63,19 +63,6 @@ def rand_mono(rng: random.Random, field: Field, src_dim: int, dst_dim: int) -> L
         f = rand_linmap(rng, field, src_dim, dst_dim)
         if rank(f.mat) == src_dim:
             return f
-
-
-def rand_epi(rng: random.Random, field: Field, src_dim: int, dst_dim: int) -> LinMap:
-    if dst_dim > src_dim:
-        raise ValueError("no epi onto a bigger space")
-    while True:
-        f = rand_linmap(rng, field, src_dim, dst_dim)
-        if rank(f.mat) == dst_dim:
-            return f
-
-
-def rand_invertible(rng: random.Random, field: Field, n: int) -> LinMap:
-    return rand_mono(rng, field, n, n)
 
 
 def rand_cospan(
@@ -313,14 +300,6 @@ def rand_complex(
         size = rng.randint(1, min(max_simplex + 1, n))
         maximal.append(rng.sample(range(n), size))
     return closure_and_validate(n, maximal)
-
-
-def rand_subcomplex(
-    rng: random.Random, K: SimplicialComplex
-) -> SimplicialComplex:
-    pool = sorted(simplex_set(K))
-    chosen = [s for s in pool if rng.random() < 0.5]
-    return closure_and_validate(K.n_vertices, chosen + [(0,)])
 
 
 def _maximal_simplices(K: SimplicialComplex) -> List[Tuple[int, ...]]:

@@ -1,8 +1,10 @@
 """File-in, report-out command layer: parsing, validation, determinism, exits."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +266,13 @@ class TestMain:
         assert cli.main(["canon", "--in", str(p)]) == 2
         assert "abcosp:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chars", [[], 5])
+    def test_bad_suite_chars_exit_two(self, tmp_path, capsys, chars):
+        p = write_doc(tmp_path, {"field": {"char": 2}, "suite": {"chars": chars}})
+        assert cli.main(["random-suite", "--in", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("abcosp: suite.chars") and err.count("\n") == 1
+
     def test_unknown_command_exits_two(self, doc_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate", "--in", doc_path])
@@ -294,3 +303,19 @@ class TestMain:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["value"]["dim"] == 1
+
+
+def test_run_random_suite_script_honours_char(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_random_suite.py"
+    spec = importlib.util.spec_from_file_location("run_random_suite", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = []
+
+    def record(rng, f, *rest):
+        seen.append(f.characteristic)
+
+    monkeypatch.setattr(cli, "_suite_instance", record)
+    assert script.main(["--char", "5", "--count", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "pass"
+    assert seen == [5, 5, 5]

@@ -1,0 +1,154 @@
+"""One elimination in place of rank-per-candidate loops.
+
+``extend_columns`` keeps the candidate columns that a greedy loop would
+keep, and ``cokernel``, ``_mono_witness`` and ``homology`` read their
+results off that single elimination. The greedy loop, the unit-completion
+cokernel and the ``Q @ invert(P)`` witness are kept here, written out the
+slow way, as the references the library must match entry for entry.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from abcosp import cw
+from abcosp.abcat import LinMap, VecObj, cokernel
+from abcosp.cospan import (
+    _mono_witness,
+    joint_map,
+    joint_span_map,
+    transpose_cosp,
+)
+from abcosp.exactlin import (
+    GF2,
+    GF3,
+    QQ,
+    Matrix,
+    extend_columns,
+    hstack,
+    image_basis,
+    invert,
+    kernel_basis,
+    rank,
+    rref,
+    vstack,
+)
+from abcosp.generators import rand_complex, rand_cospan, rand_leq_pair
+
+FIELDS = (GF2, GF3, QQ)
+
+
+def greedy_columns(base: Matrix, cands: Matrix) -> tuple:
+    """Candidates kept by the rank loop: one rank computation per column."""
+    kept = []
+    cur = base
+    r = rank(cur)
+    for j in range(cands.cols):
+        cand = hstack(cur, cands.take_cols([j]))
+        rc = rank(cand)
+        if rc > r:
+            kept.append(j)
+            cur, r = cand, rc
+    return tuple(kept)
+
+
+def reference_cokernel(f: LinMap) -> Matrix:
+    """Dual coordinates along greedy units: rows of ``invert([B | units])``."""
+    n = f.dst.dim
+    B = image_basis(f.mat)
+    units = Matrix.identity(f.mat.field, n)
+    P = hstack(B, units.take_cols(greedy_columns(B, units)))
+    Pinv = invert(P) if n else Matrix.zeros(f.mat.field, 0, 0)
+    return Pinv.take_rows(range(B.cols, n))
+
+
+def reference_mono_witness(v: Matrix, vp: Matrix):
+    """``Q @ invert(P)`` with ``P = [v_J | E]``, ``Q = [vp_J | E']``."""
+    field = v.field
+    b, bp = v.rows, vp.rows
+    if b > bp or image_basis(kernel_basis(v)) != image_basis(kernel_basis(vp)):
+        return None
+    J = rref(v).pivots
+    want = b - len(J)
+    vJ, vpJ = v.take_cols(J), vp.take_cols(J)
+    units, unitsp = Matrix.identity(field, b), Matrix.identity(field, bp)
+    P = hstack(vJ, units.take_cols(greedy_columns(vJ, units)[:want]))
+    Q = hstack(vpJ, unitsp.take_cols(greedy_columns(vpJ, unitsp)[:want]))
+    return Q @ invert(P) if b else Matrix.zeros(field, bp, 0)
+
+
+@st.composite
+def matrix_over(draw, field, rows, max_cols=5):
+    cols = draw(st.integers(0, max_cols))
+    if field.characteristic:
+        ent = st.integers(0, field.characteristic - 1)
+    else:
+        ent = st.integers(-2, 2).map(Fraction)
+    grid = draw(st.lists(
+        st.lists(ent, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ))
+    return Matrix.from_rows(field, grid, cols)
+
+
+@st.composite
+def base_and_candidates(draw):
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 5))
+    return draw(matrix_over(field, rows)), draw(matrix_over(field, rows, 6))
+
+
+@given(base_and_candidates())
+def test_extend_columns_keeps_the_greedy_columns(pair):
+    base, cands = pair
+    kept, red = extend_columns(base, cands)
+    assert kept == greedy_columns(base, cands)
+    assert red == rref(hstack(base, cands))
+
+
+def test_extend_columns_skips_dependent_base_columns():
+    base = Matrix.from_rows(QQ, [[1, 2], [0, 0], [0, 0]])
+    kept, red = extend_columns(base, Matrix.identity(QQ, 3))
+    assert kept == (1, 2)
+    assert red.rank == 3
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.data())
+def test_cokernel_matches_unit_completion(field, n, data):
+    mat = data.draw(matrix_over(field, n))
+    f = LinMap(VecObj(field, mat.cols), VecObj(field, n), mat)
+    assert cokernel(f).mat == reference_cokernel(f)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 4), st.data())
+def test_mono_witness_matches_inverse_formula(field, b, data):
+    v = data.draw(matrix_over(field, b))
+    X = data.draw(matrix_over(field, b, 3)).transpose()
+    vp = vstack(X @ v, v)
+    G = _mono_witness(v, vp)
+    assert G is not None
+    assert G == reference_mono_witness(v, vp)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 10 ** 6))
+def test_mono_witness_on_cospan_pairs(field, seed):
+    rng = random.Random(seed)
+    a, ap = rand_leq_pair(rng, field, 3, 3)
+    c = rand_cospan(rng, field, a.foot0.dim, a.foot1.dim, 3)
+    for left, right in ((a, ap), (ap, a), (c, ap)):
+        v, vp = joint_map(left).mat, joint_map(right).mat
+        assert _mono_witness(v, vp) == reference_mono_witness(v, vp)
+    s, sp = transpose_cosp(a), transpose_cosp(ap)
+    v = joint_span_map(s).mat.transpose()
+    vp = joint_span_map(sp).mat.transpose()
+    assert _mono_witness(v, vp) == reference_mono_witness(v, vp)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 10 ** 6))
+def test_homology_representatives_match_greedy_loop(field, seed):
+    C = cw.augmented_chain(rand_complex(random.Random(seed), 6), field)
+    for q in range(-1, 4):
+        Z = kernel_basis(C.diff_mat(q))
+        B = image_basis(C.diff_mat(q + 1))
+        assert cw.homology(C, q).reps == Z.take_cols(greedy_columns(B, Z))
