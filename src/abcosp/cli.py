@@ -167,6 +167,9 @@ def parse_document(raw: bytes) -> Document:
         f = Field(fentry["char"])
     except Exception as e:
         raise ValidationError(f"field: {e}") from e
+    for key in ("inputs", "suite", "oracle"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValidationError(f"{key}: need an object")
     doc = Document(field=f, data=data, raw=raw)
     for name, entry in data.get("matrices", {}).items():
         doc.matrices[name] = _parse_matrix(f, entry, f"matrices.{name}")
@@ -512,10 +515,10 @@ def _run_oracle(doc: Document, flags: dict):
     params = doc.data.get("oracle", {})
     pairs = _oracle_pairs(
         doc.field,
-        int(params.get("max_feet", 2)),
-        int(params.get("max_bulk", 1)),
-        int(params.get("samples", 200)),
-        int(params.get("max_sample_bulk", 2)),
+        _count(params, "oracle", "max_feet", 2),
+        _count(params, "oracle", "max_bulk", 1),
+        _count(params, "oracle", "samples", 200),
+        _count(params, "oracle", "max_sample_bulk", 2),
         flags.get("seed") or 0,
     )
     checked = 0
@@ -541,21 +544,28 @@ def _run_oracle(doc: Document, flags: dict):
     return "pass", {"checked": checked}, None
 
 
+def _count(params: dict, block: str, key: str, default: int, least: int = 0) -> int:
+    value = params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"{block}.{key}: need an integer >= {least}")
+    return value
+
+
 def _suite_fields(chars) -> list:
     if not isinstance(chars, list) or not chars:
         raise ValidationError("suite.chars: need a non-empty list of characteristics")
     try:
-        return [Field(int(ch)) for ch in chars]
-    except (TypeError, ValueError) as e:
+        return [Field(ch) for ch in chars]
+    except ValueError as e:
         raise ValidationError(f"suite.chars: {e}") from e
 
 
 def _run_random_suite(doc: Document, flags: dict):
     params = doc.data.get("suite", {})
-    count = int(params.get("count", 25))
-    max_feet = int(params.get("max_feet", 3))
-    max_bulk = int(params.get("max_bulk", 4))
-    max_vertices = int(params.get("max_vertices", 8))
+    count = _count(params, "suite", "count", 25)
+    max_feet = _count(params, "suite", "max_feet", 3)
+    max_bulk = _count(params, "suite", "max_bulk", 4)
+    max_vertices = _count(params, "suite", "max_vertices", 8, least=1)
     fields = _suite_fields(params.get("chars", [2, 3, 0]))
     seed = flags.get("seed") or 0
     d_cap = flags.get("d")

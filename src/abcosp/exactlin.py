@@ -9,12 +9,18 @@ All canonical forms are derived from the reduced row echelon form, so two
 equal subspaces always produce bit-identical basis matrices. Matrices are
 immutable value objects and all operations are pure functions, safe for
 concurrent use.
+
+Over the rationals the two kernels, ``rref`` and the matrix product, compute
+on Python ints: ``_integer_rows`` writes a matrix as integer rows over one
+common denominator, the arithmetic runs on those rows, and ``Fraction``
+objects are built once, for the stored output entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -61,6 +67,8 @@ class Field:
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise ValueError(f"characteristic must be an integer, got {c!r}")
         if c == 0:
             return
         if not (2 <= c < 2 ** 31 and _is_prime(c)):
@@ -219,25 +227,26 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.rows == 0 or other.cols == 0:
+            return Matrix.zeros(self.field, self.rows, other.cols)
         p = self.field.characteristic
-        bt = list(zip(*other.entries)) if other.entries else [
-            () for _ in range(other.cols)
-        ]
-        out = []
+        brows, d = (other.entries, 1) if p else _integer_rows(other.entries)
         zero = Fraction(0)
+        out = []
         for row in self.entries:
-            if p == 0:
-                # skipping zero terms avoids most Fraction arithmetic on the
-                # sparse block matrices the chain layer produces
-                out.append(tuple(
-                    sum((a * b for a, b in zip(row, col) if a and b), zero)
-                    for col in bt
-                ))
+            # scale the row to integers, then add c * (row j of other) for
+            # each nonzero entry c; zero entries cost nothing
+            s = 1 if p else lcm(*(a.denominator for a in row))
+            acc = [0] * other.cols
+            for a, brow in zip(row, brows):
+                if a:
+                    c = a if p else a.numerator * (s // a.denominator)
+                    acc = [u + c * v for u, v in zip(acc, brow)]
+            if p:
+                out.append(tuple(x % p for x in acc))
             else:
-                out.append(tuple(
-                    sum(a * b for a, b in zip(row, col) if a and b) % p
-                    for col in bt
-                ))
+                s *= d
+                out.append(tuple(Fraction(x, s) if x else zero for x in acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
 
     def scale(self, s) -> "Matrix":
@@ -248,6 +257,15 @@ class Matrix:
         else:
             data = tuple(tuple((c * a) % p for a in row) for row in self.entries)
         return Matrix(self.field, self.rows, self.cols, data)
+
+
+def _integer_rows(entries) -> Tuple[list, int]:
+    """Integer rows ``N`` and one common denominator ``d`` with
+    ``entries == N / d``, for rational entries."""
+    d = lcm(*(x.denominator for row in entries for x in row))
+    if d == 1:
+        return [[x.numerator for x in row] for row in entries], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
 
 
 def _check_same_field(a: Matrix, b: Matrix) -> None:
@@ -296,8 +314,17 @@ def rref(M: Matrix) -> Rref:
 
     Pivot columns are strictly increasing, pivot entries are 1 and are the
     only nonzero entries in their columns.
+
+    Over the rationals the elimination is fraction-free: it runs Gauss-Jordan
+    on integer rows, replacing a row by ``a * row - f * pivot_row`` and then
+    dividing it by the gcd of its entries. Those are invertible row
+    operations, so the row space never changes, and each final pivot row is
+    a nonzero multiple of the matching row of the RREF. Dividing it by its
+    pivot gives that row exactly, because the RREF of a matrix is unique.
     """
     p = M.field.characteristic
+    if p == 0:
+        return _rref_rational(M)
     m, n = M.rows, M.cols
     rows = [list(r) for r in M.entries]
     pivots = []
@@ -313,25 +340,61 @@ def rref(M: Matrix) -> Rref:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if p == 0:
-            inv = Fraction(1) / rows[r][c]
-            rowr = [x * inv for x in rows[r]]
-        else:
-            inv = pow(rows[r][c], p - 2, p)
-            rowr = [x * inv % p for x in rows[r]]
+        inv = pow(rows[r][c], p - 2, p)
+        rowr = [x * inv % p for x in rows[r]]
         rows[r] = rowr
         for i in range(m):
             f = rows[i][c]
             if i == r or f == 0:
                 continue
-            if p == 0:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rowr)]
-            else:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rowr)]
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rowr)]
         pivots.append(c)
         r += 1
     R = Matrix(M.field, m, n, tuple(tuple(row) for row in rows))
     return Rref(R, tuple(pivots), r)
+
+
+def _rref_rational(M: Matrix) -> Rref:
+    m, n = M.rows, M.cols
+    rows, _ = _integer_rows(M.entries)
+    rows = [_primitive(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rowr = rows[r]
+        a = rowr[c]
+        for i in range(m):
+            f = rows[i][c]
+            if i == r or f == 0:
+                continue
+            g = gcd(a, f)
+            ai, fi = a // g, f // g
+            rows[i] = _primitive([ai * x - fi * y for x, y in zip(rows[i], rowr)])
+        pivots.append(c)
+        r += 1
+    # rows past the rank have been eliminated to zero
+    zero = Fraction(0)
+    data = tuple(
+        tuple(Fraction(x, row[c]) if x else zero for x in row)
+        for row, c in zip(rows, pivots)
+    ) + ((zero,) * n,) * (m - r)
+    return Rref(Matrix(M.field, m, n, data), tuple(pivots), r)
+
+
+def _primitive(row: list) -> list:
+    """``row`` divided by the gcd of its entries; an all-zero row as is."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def rank(M: Matrix) -> int:

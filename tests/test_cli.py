@@ -266,12 +266,46 @@ class TestMain:
         assert cli.main(["canon", "--in", str(p)]) == 2
         assert "abcosp:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("chars", [[], 5])
+    @pytest.mark.parametrize("chars", [[], 5, [2.5], [True], ["2"]])
     def test_bad_suite_chars_exit_two(self, tmp_path, capsys, chars):
         p = write_doc(tmp_path, {"field": {"char": 2}, "suite": {"chars": chars}})
         assert cli.main(["random-suite", "--in", p]) == 2
         err = capsys.readouterr().err
         assert err.startswith("abcosp: suite.chars") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, block, prefix",
+        [
+            ("random-suite", {"suite": []}, "suite: need an object"),
+            ("oracle", {"oracle": [1]}, "oracle: need an object"),
+            ("oracle", {"oracle": None}, "oracle: need an object"),
+            ("canon", {"inputs": []}, "inputs: need an object"),
+            ("homology", {"inputs": []}, "inputs: need an object"),
+            ("random-suite", {"suite": {"count": None}}, "suite.count: need"),
+            ("random-suite", {"suite": {"count": True}}, "suite.count: need"),
+            ("random-suite", {"suite": {"max_bulk": 2.5}}, "suite.max_bulk: need"),
+            ("random-suite", {"suite": {"max_feet": "x"}}, "suite.max_feet: need"),
+            ("random-suite", {"suite": {"count": -1}}, "suite.count: need"),
+            ("random-suite", {"suite": {"max_vertices": 0}}, "suite.max_vertices: need"),
+            ("oracle", {"oracle": {"samples": None}}, "oracle.samples: need"),
+            ("oracle", {"oracle": {"max_feet": True}}, "oracle.max_feet: need"),
+            ("oracle", {"oracle": {"max_bulk": 2.5}}, "oracle.max_bulk: need"),
+            ("oracle", {"oracle": {"max_sample_bulk": "x"}}, "oracle.max_sample_bulk: need"),
+        ],
+    )
+    def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
+        doc = dict(BASE_DOC, field={"char": 2}, **block)
+        p = write_doc(tmp_path, doc)
+        assert cli.main([command, "--in", p, "--q", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"abcosp: {prefix}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("char", [2.5, True, "2", None])
+    def test_non_integer_characteristic_exits_two(self, tmp_path, capsys, char):
+        p = write_doc(tmp_path, dict(BASE_DOC, field={"char": char}))
+        assert cli.main(["canon", "--in", p]) == 2
+        err = capsys.readouterr().err
+        assert err == f"abcosp: field: characteristic must be an integer, got {char!r}\n"
 
     def test_unknown_command_exits_two(self, doc_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,11 @@ class TestField:
         with pytest.raises(ValueError):
             Field(1)
 
+    @pytest.mark.parametrize("char", [2.5, 2.0, True, False, "2", None])
+    def test_characteristic_must_be_an_integer(self, char):
+        with pytest.raises(ValueError, match="characteristic must be an integer"):
+            Field(char)
+
     def test_coercion(self):
         assert GF3.coerce(5) == 2
         assert GF3.coerce(-1) == 2
@@ -255,3 +260,169 @@ class TestTokens:
             m.field, [[untok(t) for t in row] for row in rows], m.cols
         )
         assert back == m
+
+
+# --- integer kernels over Q -------------------------------------------------
+#
+# ``rref`` and ``@`` compute on integer rows over Q. The references below are
+# the earlier algorithms written out plainly: Gauss-Jordan on ``Fraction``
+# (or residue) entries, and the triple-loop product.
+
+
+def reference_rref(m: Matrix):
+    p = m.field.characteristic
+    rows = [list(r) for r in m.entries]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if p == 0:
+            inv = Fraction(1) / rows[r][c]
+            rows[r] = [x * inv for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], p - 2, p)
+            rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(m.rows):
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = [
+                    (a - f * b) % p if p else a - f * b
+                    for a, b in zip(rows[i], rows[r])
+                ]
+        pivots.append(c)
+        r += 1
+    return rows, tuple(pivots), r
+
+
+def reference_product(a: Matrix, b: Matrix):
+    p = a.field.characteristic
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            s = a.field.zero()
+            for k in range(a.cols):
+                s += a.entries[i][k] * b.entries[k][j]
+            row.append(s % p if p else s)
+        out.append(row)
+    return out
+
+
+def assert_entry_types(m: Matrix):
+    p = m.field.characteristic
+    for row in m.entries:
+        for x in row:
+            if p:
+                assert type(x) is int and 0 <= x < p
+            else:
+                assert type(x) is Fraction
+
+
+KERNEL_FIELDS = (GF2, GF3, Field(5), QQ)
+RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-9, 9), st.integers(-10 ** 12, 10 ** 12)),
+    st.integers(1, 12),
+)
+
+
+def entries_over(field):
+    if field.characteristic:
+        return st.integers(0, field.characteristic - 1)
+    return st.one_of(st.just(Fraction(0)), RATIONALS)
+
+
+@st.composite
+def kernel_matrix(draw, field=None, rows=None, cols=None, max_dim=6):
+    if field is None:
+        field = draw(st.sampled_from(KERNEL_FIELDS))
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    data = draw(st.lists(
+        st.lists(entries_over(field), min_size=c, max_size=c),
+        min_size=r, max_size=r,
+    ))
+    # all-zero rows and rows that repeat earlier ones make the elimination
+    # meet rows that cancel to zero
+    if r >= 2 and draw(st.booleans()):
+        data[draw(st.integers(1, r - 1))] = [field.zero()] * c
+    if r >= 2 and draw(st.booleans()):
+        data[-1] = list(data[0])
+    return Matrix.from_rows(field, data, c)
+
+
+@st.composite
+def product_pair(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(kernel_matrix(field=field, rows=n, cols=k))
+    b = draw(kernel_matrix(field=field, rows=k, cols=m))
+    return a, b
+
+
+def assert_rref_matches_reference(m: Matrix):
+    got = rref(m)
+    rows, pivots, r = reference_rref(m)
+    assert got.R.entries == tuple(tuple(row) for row in rows)
+    assert (got.pivots, got.rank) == (pivots, r)
+    assert (got.R.rows, got.R.cols) == (m.rows, m.cols)
+    assert_entry_types(got.R)
+
+
+class TestIntegerKernels:
+    @given(kernel_matrix())
+    def test_rref_matches_fraction_gauss_jordan(self, m):
+        assert_rref_matches_reference(m)
+
+    @given(product_pair())
+    def test_product_matches_triple_loop(self, pair):
+        a, b = pair
+        got = a @ b
+        assert [list(row) for row in got.entries] == reference_product(a, b)
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        assert_entry_types(got)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS)
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 3)])
+    def test_empty_and_zero_shapes(self, field, shape):
+        z = Matrix.zeros(field, *shape)
+        assert_rref_matches_reference(z)
+        for other in (Matrix.zeros(field, shape[1], 2), Matrix.zeros(field, shape[1], 0)):
+            got = z @ other
+            assert got == Matrix.zeros(field, shape[0], other.cols)
+            assert_entry_types(got)
+        ones = Matrix.from_rows(field, [[1] * shape[0]] * 2, shape[0])
+        assert ones @ z == Matrix.zeros(field, 2, shape[1])
+
+    def test_rational_growth_8x8(self):
+        # Hilbert-like entries with sign changes: the integer rows grow far
+        # past the entries before each row is divided by its gcd
+        m = Matrix.from_rows(QQ, [
+            [Fraction((-1) ** (i * j) * (i + 2 * j + 1), i + j + 1) for j in range(8)]
+            for i in range(8)
+        ])
+        assert_rref_matches_reference(m)
+        red = rref(m)
+        assert red.rank == 8 and red.R == Matrix.identity(QQ, 8)
+        wide = hstack(m, Matrix.identity(QQ, 8))
+        assert_rref_matches_reference(wide)
+        inv = invert(m)
+        assert m @ inv == Matrix.identity(QQ, 8)
+        assert [list(row) for row in (m @ inv).entries] == reference_product(m, inv)
+        assert_entry_types(inv)
+
+    def test_rows_that_cancel_to_zero(self):
+        # the third row is a rational combination of the first two, so the
+        # elimination reduces it to an all-zero integer row (gcd 0)
+        m = M(QQ, [
+            [Fraction(1, 2), Fraction(-3, 7), 5],
+            [Fraction(2, 9), 1, Fraction(-1, 4)],
+            [Fraction(1, 2) + Fraction(4, 9), Fraction(-3, 7) + 2, Fraction(9, 2)],
+        ])
+        assert_rref_matches_reference(m)
+        assert rref(m).rank == 2
