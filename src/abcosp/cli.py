@@ -6,7 +6,8 @@ its operands from the document's ``inputs`` role table and runs one
 operation. Reports serialize with sorted keys and no timing jitter, so one
 input file, command, and seed always produce identical bytes. Exit status:
 0 for a value or a passing check, 1 for a failing check, 2 for unusable
-input.
+input, 3 for an internal defect (one of the library's own cross-checks
+failed, which is a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ COMMANDS = (
 )
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
+
+# Document keys that hold name -> value tables.
+_VALUE_TABLES = (
+    "matrices", "linmaps", "cospans", "spans", "complexes", "maps", "space_cospans"
+)
 
 
 class ParseError(ValueError):
@@ -142,6 +148,10 @@ def _matrix_ref(doc: Document, entry, where: str) -> Matrix:
     return _parse_matrix(doc.field, entry, where)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _named(table: dict, kind: str, name, where: str):
     if not isinstance(name, str) or name not in table:
         raise ValidationError(f"{where}: unknown {kind} {name!r}")
@@ -167,7 +177,7 @@ def parse_document(raw: bytes) -> Document:
         f = Field(fentry["char"])
     except Exception as e:
         raise ValidationError(f"field: {e}") from e
-    for key in ("inputs", "suite", "oracle"):
+    for key in (*_VALUE_TABLES, "inputs", "suite", "oracle"):
         if not isinstance(data.get(key, {}), dict):
             raise ValidationError(f"{key}: need an object")
     doc = Document(field=f, data=data, raw=raw)
@@ -177,10 +187,9 @@ def parse_document(raw: bytes) -> Document:
         where = f"linmaps.{name}"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: need an object")
-        try:
-            src, dst = int(entry["src"]), int(entry["dst"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"{where}: need integer src and dst") from e
+        src, dst = entry.get("src"), entry.get("dst")
+        if not (_is_int(src) and _is_int(dst)):
+            raise ValidationError(f"{where}: need integer src and dst")
         m = _matrix_ref(doc, entry.get("matrix"), f"{where}.matrix")
         try:
             doc.linmaps[name] = abcat.LinMap(
@@ -214,9 +223,12 @@ def parse_document(raw: bytes) -> Document:
         where = f"complexes.{name}"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: need an object")
+        n_vertices = entry.get("n_vertices", 0)
+        if not _is_int(n_vertices):
+            raise ValidationError(f"{where}: need integer n_vertices")
         try:
             doc.complexes[name] = cw.closure_and_validate(
-                int(entry.get("n_vertices", 0)), entry.get("maximal", [])
+                n_vertices, entry.get("maximal", [])
             )
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
@@ -546,7 +558,7 @@ def _run_oracle(doc: Document, flags: dict):
 
 def _count(params: dict, block: str, key: str, default: int, least: int = 0) -> int:
     value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         raise ValidationError(f"{block}.{key}: need an integer >= {least}")
     return value
 
@@ -738,6 +750,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as e:
         print(f"abcosp: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        detail = " ".join(str(e).split()).removeprefix("internal defect: ")
+        print(f"abcosp: internal defect: {detail}", file=sys.stderr)
+        return 3
     text = dumps_report(report)
     sys.stdout.write(text)
     if args.out:

@@ -324,25 +324,10 @@ def chain_compose(g: ChainMap, f: ChainMap) -> ChainMap:
     )
 
 
-def chain_neg(f: ChainMap) -> ChainMap:
-    return make_chain_map(f.src, f.dst, {q: -m for q, m in f.comps})
-
-
-@dataclass(frozen=True)
-class DirectSumChain:
-    """A direct sum of two chain complexes with injections and projections."""
-
-    complex: ChainComplex
-    i0: ChainMap
-    i1: ChainMap
-    p0: ChainMap
-    p1: ChainMap
-
-
-def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> DirectSumChain:
+def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
+    """The blockwise direct sum of two chain complexes, ``C`` first."""
     if C.field != D.field:
         raise ValueError("direct sum over mismatched fields")
-    field = C.field
     degs = sorted(set(C.degrees()) | set(D.degrees()))
     dims = {q: C.dim(q) + D.dim(q) for q in degs}
     diffs = {
@@ -350,80 +335,19 @@ def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> DirectSumChain:
         for q in degs
         if dims.get(q, 0) and dims.get(q - 1, 0)
     }
-    S = make_chain_complex(field, dims, diffs)
-    i0 = make_chain_map(
-        C,
-        S,
-        {
-            q: vstack(
-                Matrix.identity(field, C.dim(q)),
-                Matrix.zeros(field, D.dim(q), C.dim(q)),
-            )
-            for q in degs
-            if C.dim(q)
-        },
-    )
-    i1 = make_chain_map(
-        D,
-        S,
-        {
-            q: vstack(
-                Matrix.zeros(field, C.dim(q), D.dim(q)),
-                Matrix.identity(field, D.dim(q)),
-            )
-            for q in degs
-            if D.dim(q)
-        },
-    )
-    p0 = make_chain_map(
-        S,
-        C,
-        {
-            q: hstack(
-                Matrix.identity(field, C.dim(q)),
-                Matrix.zeros(field, C.dim(q), D.dim(q)),
-            )
-            for q in degs
-            if C.dim(q)
-        },
-    )
-    p1 = make_chain_map(
-        S,
-        D,
-        {
-            q: hstack(
-                Matrix.zeros(field, D.dim(q), C.dim(q)),
-                Matrix.identity(field, D.dim(q)),
-            )
-            for q in degs
-            if D.dim(q)
-        },
-    )
-    return DirectSumChain(S, i0, i1, p0, p1)
+    return make_chain_complex(C.field, dims, diffs)
 
 
-def stack_chain_maps(f: ChainMap, g: ChainMap, dsum: DirectSumChain) -> ChainMap:
-    """The map (f, g) into the direct sum of the targets; shared source."""
-    if f.src != g.src:
-        raise ValueError("stacked chain maps need one source")
-    degs = set(q for q, _ in f.comps) | set(q for q, _ in g.comps)
-    return make_chain_map(
-        f.src,
-        dsum.complex,
-        {q: vstack(f.comp_mat(q), g.comp_mat(q)) for q in degs},
-    )
+def _pad_rows(m: Matrix, above: int, below: int) -> Matrix:
+    """``m`` with zero rows stacked above and below it: ``[0; m; 0]``."""
+    f = m.field
+    return vstack(Matrix.zeros(f, above, m.cols), m, Matrix.zeros(f, below, m.cols))
 
 
-def concat_chain_maps(f: ChainMap, g: ChainMap, dsum: DirectSumChain) -> ChainMap:
-    """The map [f | g] out of the direct sum of the sources; shared target."""
-    if f.dst != g.dst:
-        raise ValueError("concatenated chain maps need one target")
-    degs = set(q for q, _ in f.comps) | set(q for q, _ in g.comps)
-    return make_chain_map(
-        dsum.complex,
-        f.dst,
-        {q: hstack(f.comp_mat(q), g.comp_mat(q)) for q in degs},
-    )
+def _block_projection(field: Field, before: int, n: int, after: int) -> Matrix:
+    """``[0 | I_n | 0]``, the projection onto the middle one of three blocks."""
+    ident = Matrix.identity(field, n)
+    return hstack(Matrix.zeros(field, n, before), ident, Matrix.zeros(field, n, after))
 
 
 @lru_cache(maxsize=None)
@@ -584,44 +508,35 @@ def _cone_block(phi: ChainMap, q: int) -> Matrix:
     return vstack(top, bottom)
 
 
-def mapping_cone(phi: ChainMap) -> Tuple[ChainComplex, ChainMap, ChainMap]:
-    """The cone of a chain map, with its two structural maps.
-
-    Degree q of the cone is dst_q plus src_{q-1}; the differential is the
-    usual upper-triangular block matrix with -d on the shifted block. Returns
-    the cone, the inclusion of dst, and the projection to the shifted source.
-    """
+def _cone_complex(phi: ChainMap) -> ChainComplex:
+    """The cone of a chain map: degree q is dst_q plus src_{q-1}, and the
+    differential is the usual upper-triangular block matrix with -d on the
+    shifted block."""
     src, dst = phi.src, phi.dst
-    field = src.field
     degs = sorted(set(dst.degrees()) | set(q + 1 for q in src.degrees()))
     dims = {q: dst.dim(q) + src.dim(q - 1) for q in degs}
     diffs = {q: _cone_block(phi, q) for q in degs}
-    cone = make_chain_complex(field, dims, diffs)
-    incl = make_chain_map(
-        dst,
+    return make_chain_complex(src.field, dims, diffs)
+
+
+def mapping_cone(phi: ChainMap) -> Tuple[ChainComplex, ChainMap, ChainMap]:
+    """The cone of a chain map, with its two structural maps.
+
+    Returns the cone, the inclusion of dst, and the projection to the
+    shifted source.
+    """
+    src, dst = phi.src, phi.dst
+    field = src.field
+    cone = _cone_complex(phi)
+    incl = {
+        q: _pad_rows(Matrix.identity(field, n), 0, src.dim(q - 1)) for q, n in dst.dims
+    }
+    proj = {q + 1: _block_projection(field, dst.dim(q + 1), n, 0) for q, n in src.dims}
+    return (
         cone,
-        {
-            q: vstack(
-                Matrix.identity(field, dst.dim(q)),
-                Matrix.zeros(field, src.dim(q - 1), dst.dim(q)),
-            )
-            for q in degs
-            if dst.dim(q)
-        },
+        make_chain_map(dst, cone, incl),
+        make_chain_map(cone, suspension_shift(src), proj),
     )
-    proj = make_chain_map(
-        cone,
-        suspension_shift(src),
-        {
-            q: hstack(
-                Matrix.zeros(field, src.dim(q - 1), dst.dim(q)),
-                Matrix.identity(field, src.dim(q - 1)),
-            )
-            for q in degs
-            if src.dim(q - 1)
-        },
-    )
-    return cone, incl, proj
 
 
 @dataclass(frozen=True)
@@ -714,22 +629,28 @@ def chain_cospan_of(c: SpaceCospan, field: Field) -> ChainCospan:
     return ChainCospan(chain_map_of(c.f0, field), chain_map_of(c.f1, field))
 
 
-@lru_cache(maxsize=None)
 def compose_chain_cospans(c: ChainCospan, d: ChainCospan) -> ChainCospan:
-    """Glue two chain cospans along their shared foot.
+    """Glue two chain cospans along their shared foot F.
 
-    The bulk is the cone of (right leg of c, minus left leg of d) out of the
-    shared foot complex; it computes the homology of the double mapping
-    cylinder. The outer legs land in the cone through the bulk inclusions.
+    The bulk is the cone of psi = (right leg of c, minus left leg of d) from
+    F into the sum of the two bulks; it computes the homology of the double
+    mapping cylinder. Degree q of the cone is ``Bc_q + Bd_q + F_{q-1}``, so
+    the outer legs are block columns: ``[c.leg0_q; 0; 0]`` and
+    ``[0; d.leg1_q; 0]``.
     """
     if c.leg1.src != d.leg0.src:
         raise FootMismatch("chain cospans do not share their middle foot")
-    dsum = chain_direct_sum(c.bulk, d.bulk)
-    psi = stack_chain_maps(c.leg1, chain_neg(d.leg0), dsum)
-    _, incl, _ = mapping_cone(psi)
-    leg0 = chain_compose(incl, chain_compose(dsum.i0, c.leg0))
-    leg1 = chain_compose(incl, chain_compose(dsum.i1, d.leg1))
-    return ChainCospan(leg0, leg1)
+    F, Bc, Bd = c.leg1.src, c.bulk, d.bulk
+    degs = {q for q, _ in c.leg1.comps + d.leg0.comps}
+    stacked = {q: vstack(c.leg1.comp_mat(q), -d.leg0.comp_mat(q)) for q in degs}
+    psi = make_chain_map(F, chain_direct_sum(Bc, Bd), stacked)
+    cone = _cone_complex(psi)
+    leg0 = {q: _pad_rows(m, 0, Bd.dim(q) + F.dim(q - 1)) for q, m in c.leg0.comps}
+    leg1 = {q: _pad_rows(m, Bc.dim(q), F.dim(q - 1)) for q, m in d.leg1.comps}
+    return ChainCospan(
+        make_chain_map(c.leg0.src, cone, leg0),
+        make_chain_map(d.leg1.src, cone, leg1),
+    )
 
 
 def space_compose_chain_model(
@@ -747,18 +668,30 @@ def space_compose_chain_model(
 def t_sigma_of_chain(c: ChainCospan) -> ChainSpan:
     """Turn a chain cospan around into a span between shifted feet.
 
-    The middle is the cone of [leg0 | leg1] out of the foot sum; the span
-    legs are the cone projection followed by the block projections, with the
-    suspension-coordinate sign on the left leg.
+    The middle is the cone of phi = [leg0 | leg1] out of the foot sum
+    ``A0 + A1`` into the bulk B, so degree q+1 of the cone is
+    ``B_{q+1} + A0_q + A1_q``. The span legs go to the shifted feet and are
+    block rows: ``-[0 | I | 0]`` to A0, with the suspension-coordinate sign,
+    and ``[0 | 0 | I]`` to A1.
     """
-    dsum = chain_direct_sum(c.leg0.src, c.leg1.src)
-    phi = concat_chain_maps(c.leg0, c.leg1, dsum)
-    _, _, proj = mapping_cone(phi)
-    pi0 = suspension_shift_map(dsum.p0)
-    pi1 = suspension_shift_map(dsum.p1)
-    p0 = chain_compose(conjugate_sign(pi0.dst), chain_compose(pi0, proj))
-    p1 = chain_compose(pi1, proj)
-    return ChainSpan(p0, p1)
+    A0, A1, B = c.leg0.src, c.leg1.src, c.bulk
+    field = B.field
+    degs = {q for q, _ in c.leg0.comps + c.leg1.comps}
+    joined = {q: hstack(c.leg0.comp_mat(q), c.leg1.comp_mat(q)) for q in degs}
+    phi = make_chain_map(chain_direct_sum(A0, A1), B, joined)
+    cone = _cone_complex(phi)
+    p0 = {
+        q + 1: -_block_projection(field, B.dim(q + 1), n, A1.dim(q))
+        for q, n in A0.dims
+    }
+    p1 = {
+        q + 1: _block_projection(field, B.dim(q + 1) + A0.dim(q), n, 0)
+        for q, n in A1.dims
+    }
+    return ChainSpan(
+        make_chain_map(cone, suspension_shift(A0), p0),
+        make_chain_map(cone, suspension_shift(A1), p1),
+    )
 
 
 def t_sigma_chain(c: SpaceCospan, field: Field) -> ChainSpan:

@@ -291,6 +291,25 @@ class TestMain:
             ("oracle", {"oracle": {"max_feet": True}}, "oracle.max_feet: need"),
             ("oracle", {"oracle": {"max_bulk": 2.5}}, "oracle.max_bulk: need"),
             ("oracle", {"oracle": {"max_sample_bulk": "x"}}, "oracle.max_sample_bulk: need"),
+            ("homology", {"matrices": []}, "matrices: need an object"),
+            ("canon", {"linmaps": [1]}, "linmaps: need an object"),
+            ("canon", {"cospans": None}, "cospans: need an object"),
+            ("canon", {"spans": "s"}, "spans: need an object"),
+            ("homology", {"complexes": [1]}, "complexes: need an object"),
+            ("homology", {"maps": []}, "maps: need an object"),
+            ("verify", {"space_cospans": [[]]}, "space_cospans: need an object"),
+            ("canon", {"linmaps": {"h": {"src": 2.7, "dst": 1, "matrix": [[1, 0]]}}},
+             "linmaps.h: need integer src and dst"),
+            ("canon", {"linmaps": {"h": {"src": 1, "dst": True, "matrix": [[1]]}}},
+             "linmaps.h: need integer src and dst"),
+            ("canon", {"linmaps": {"h": {"src": "1", "dst": 1, "matrix": [[1]]}}},
+             "linmaps.h: need integer src and dst"),
+            ("homology", {"complexes": {"k": {"n_vertices": "3", "maximal": [[0, 1]]}}},
+             "complexes.k: need integer n_vertices"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3.0, "maximal": [[0, 1]]}}},
+             "complexes.k: need integer n_vertices"),
+            ("homology", {"complexes": {"k": {"n_vertices": True, "maximal": [[0]]}}},
+             "complexes.k: need integer n_vertices"),
         ],
     )
     def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
@@ -328,6 +347,16 @@ class TestMain:
         monkeypatch.setattr(cli, "run", fake_run)
         assert cli.main(["mv-check", "--in", doc_path, "--q", "0"]) == 1
         assert json.loads(capsys.readouterr().out)["outcome"] == "fail"
+
+    def test_internal_defect_exits_three(self, doc_path, capsys, monkeypatch):
+        def fake_run(command, doc, flags):
+            raise AssertionError("internal defect: decision and witness disagree")
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        assert cli.main(["equiv", "--in", doc_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "abcosp: internal defect: decision and witness disagree\n"
 
     def test_console_script(self, doc_path):
         out = subprocess.run(

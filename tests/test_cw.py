@@ -4,18 +4,25 @@ Homology goldens below (spheres, cones, wedges, the circle built from two
 arcs) are classical values, written down before running anything.
 """
 
+import random
+
 import pytest
 
 from abcosp.cw import (
     BadVertexIndex,
+    ChainCospan,
+    ChainSpan,
     InvalidMap,
     NotATriad,
     SpaceCospan,
     augmented_chain,
     chain_compose,
+    chain_cospan_of,
+    chain_direct_sum,
     chain_identity,
     chain_map_of,
     closure_and_validate,
+    compose_chain_cospans,
     compose_simplicial,
     conjugate_sign,
     constant_map,
@@ -38,11 +45,17 @@ from abcosp.cw import (
     suspension_shift,
     suspension_shift_map,
     t_sigma_chain,
+    t_sigma_of_chain,
     wedge,
     wedge_map,
 )
-from abcosp.exactlin import GF2, GF3, QQ, Matrix, hstack, matrix_to_rows, rank
-from abcosp.generators import rand_complex, rand_simplicial_map, rand_triad
+from abcosp.exactlin import GF2, GF3, QQ, Matrix, hstack, matrix_to_rows, rank, vstack
+from abcosp.generators import (
+    rand_complex,
+    rand_composable_space_cospans,
+    rand_simplicial_map,
+    rand_triad,
+)
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -445,3 +458,82 @@ class TestChainValidation:
         bad = {0: Matrix.from_rows(GF2, [[1, 0], [0, 0]])}
         with pytest.raises(ValueError):
             make_chain_map(C, C, bad)
+
+
+# Reference gluing: the composite of validated structural maps that
+# compose_chain_cospans and t_sigma_of_chain used to build, kept here so the
+# block construction can be checked against it value for value.
+
+
+def _ref_sum_maps(C, D):
+    """The direct sum C + D with its injections and projections."""
+    f, S = C.field, chain_direct_sum(C, D)
+
+    def unit(n, above, below):
+        return vstack(
+            Matrix.zeros(f, above, n), Matrix.identity(f, n), Matrix.zeros(f, below, n)
+        )
+
+    i0 = make_chain_map(C, S, {q: unit(n, 0, D.dim(q)) for q, n in C.dims})
+    i1 = make_chain_map(D, S, {q: unit(n, C.dim(q), 0) for q, n in D.dims})
+    p0 = make_chain_map(S, C, {q: unit(n, 0, D.dim(q)).transpose() for q, n in C.dims})
+    p1 = make_chain_map(S, D, {q: unit(n, C.dim(q), 0).transpose() for q, n in D.dims})
+    return S, i0, i1, p0, p1
+
+
+def ref_compose_chain_cospans(c, d):
+    S, i0, i1, _, _ = _ref_sum_maps(c.bulk, d.bulk)
+    neg = make_chain_map(d.leg0.src, d.leg0.dst, {q: -m for q, m in d.leg0.comps})
+    degs = {q for q, _ in c.leg1.comps + neg.comps}
+    psi = make_chain_map(
+        c.leg1.src, S, {q: vstack(c.leg1.comp_mat(q), neg.comp_mat(q)) for q in degs}
+    )
+    _, incl, _ = mapping_cone(psi)
+    return ChainCospan(
+        chain_compose(incl, chain_compose(i0, c.leg0)),
+        chain_compose(incl, chain_compose(i1, d.leg1)),
+    )
+
+
+def ref_t_sigma_of_chain(c):
+    S, _, _, p0, p1 = _ref_sum_maps(c.leg0.src, c.leg1.src)
+    degs = {q for q, _ in c.leg0.comps + c.leg1.comps}
+    phi = make_chain_map(
+        S, c.bulk, {q: hstack(c.leg0.comp_mat(q), c.leg1.comp_mat(q)) for q in degs}
+    )
+    _, _, proj = mapping_cone(phi)
+    pi0, pi1 = suspension_shift_map(p0), suspension_shift_map(p1)
+    return ChainSpan(
+        chain_compose(conjugate_sign(pi0.dst), chain_compose(pi0, proj)),
+        chain_compose(pi1, proj),
+    )
+
+
+def _fixed_pairs():
+    pt = point_complex()
+    lam = endpoints_cospan()
+    unit = iota_space(identity_simplicial_map(s0()))
+    tip = SpaceCospan(constant_map(pt, edge()), constant_map(pt, edge()))
+    ends = make_simplicial_map(s0(), edge(), (0, 1))
+    half = SpaceCospan(ends, constant_map(pt, edge()))
+    return [(lam, lam), (unit, lam), (lam, unit), (tip, tip), (half, tip)]
+
+
+class TestGluingMatchesReference:
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_pairs(self, field, seed):
+        c, d = rand_composable_space_cospans(random.Random(seed), 8)
+        self._check(chain_cospan_of(c, field), chain_cospan_of(d, field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_fixed_pairs(self, field):
+        for c, d in _fixed_pairs():
+            self._check(chain_cospan_of(c, field), chain_cospan_of(d, field))
+
+    @staticmethod
+    def _check(cc, dc):
+        glued = compose_chain_cospans(cc, dc)
+        assert glued == ref_compose_chain_cospans(cc, dc)
+        for x in (cc, dc, glued):
+            assert t_sigma_of_chain(x) == ref_t_sigma_of_chain(x)
