@@ -80,10 +80,6 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
     return LinMap(f.src, g.dst, g.mat @ f.mat)
 
 
-def neg(f: LinMap) -> LinMap:
-    return LinMap(f.src, f.dst, -f.mat)
-
-
 def obj_sum(A: VecObj, B: VecObj) -> VecObj:
     if A.field != B.field:
         raise CompositionMismatch("biproduct needs one field")
@@ -94,20 +90,6 @@ def biproduct(f: LinMap, g: LinMap) -> LinMap:
     """Block diagonal sum ``f (+) g`` on both source and target."""
     return LinMap(obj_sum(f.src, g.src), obj_sum(f.dst, g.dst),
                   direct_sum(f.mat, g.mat))
-
-
-def injection0(A: VecObj, B: VecObj) -> LinMap:
-    """First biproduct injection ``A -> A (+) B``."""
-    return LinMap(A, obj_sum(A, B), vstack(
-        Matrix.identity(A.field, A.dim), Matrix.zeros(A.field, B.dim, A.dim)
-    ))
-
-
-def injection1(A: VecObj, B: VecObj) -> LinMap:
-    """Second biproduct injection ``B -> A (+) B``."""
-    return LinMap(B, obj_sum(A, B), vstack(
-        Matrix.zeros(B.field, A.dim, B.dim), Matrix.identity(B.field, B.dim)
-    ))
 
 
 def diagonal(A: VecObj) -> LinMap:
@@ -155,6 +137,36 @@ def cokernel(f: LinMap) -> LinMap:
     k = len(kept)
     rows = tuple(row[m:] for row in red.R.entries[n - k:])
     return LinMap(f.dst, VecObj(field, k), Matrix(field, k, n, rows))
+
+
+def pushout(f: LinMap, g: LinMap) -> tuple[LinMap, LinMap]:
+    """The pushout ``B -> P <- C`` of ``f: A -> B`` and ``g: A -> C``.
+
+    ``P`` is the canonical cokernel of ``[f; -g]``, and the two maps are its
+    column blocks over ``B`` and over ``C``, so ``q0 . f == q1 . g``.
+    """
+    if f.src != g.src:
+        raise CompositionMismatch(f"pushout needs one source, got {f.src} vs {g.src}")
+    b = f.dst.dim
+    q = cokernel(LinMap(f.src, obj_sum(f.dst, g.dst), vstack(f.mat, -g.mat)))
+    q0 = LinMap(f.dst, q.dst, q.mat.take_cols(range(b)))
+    q1 = LinMap(g.dst, q.dst, q.mat.take_cols(range(b, b + g.dst.dim)))
+    return q0, q1
+
+
+def pullback(f: LinMap, g: LinMap) -> tuple[LinMap, LinMap]:
+    """The pullback ``B <- P -> C`` of ``f: B -> D`` and ``g: C -> D``.
+
+    ``P`` is the canonical kernel of ``[f | -g]``, and the two maps are its
+    row blocks in ``B`` and in ``C``, so ``f . p0 == g . p1``.
+    """
+    if f.dst != g.dst:
+        raise CompositionMismatch(f"pullback needs one target, got {f.dst} vs {g.dst}")
+    b = f.src.dim
+    j = kernel(LinMap(obj_sum(f.src, g.src), f.dst, hstack(f.mat, -g.mat)))
+    p0 = LinMap(j.src, f.src, j.mat.take_rows(range(b)))
+    p1 = LinMap(j.src, g.src, j.mat.take_rows(range(b, b + g.src.dim)))
+    return p0, p1
 
 
 @dataclass(frozen=True)

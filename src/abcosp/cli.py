@@ -47,6 +47,11 @@ COMMANDS = (
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 
+# Face closure is exponential in the simplex size, so document complexes are
+# bounded (see _check_maximal) before they are closed.
+_MAX_FACES = 1 << 16
+_MAX_SIMPLEX_VERTICES = 16
+
 # Document keys that hold name -> value tables.
 _VALUE_TABLES = (
     "matrices", "linmaps", "cospans", "spans", "complexes", "maps", "space_cospans"
@@ -114,8 +119,10 @@ def _parse_matrix(f: Field, entry, where: str) -> Matrix:
     if isinstance(entry, dict):
         rows, cols = entry.get("rows"), entry.get("cols")
         entries = entry.get("entries")
-        if not (isinstance(rows, int) and isinstance(cols, int)) or entries is None:
-            raise ValidationError(f"{where}: matrix object needs rows/cols/entries")
+        if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
+            raise ValidationError(
+                f"{where}: matrix object needs integer rows/cols and an entries list"
+            )
         grid = entries
     elif isinstance(entry, list):
         grid = entry
@@ -150,6 +157,28 @@ def _matrix_ref(doc: Document, entry, where: str) -> Matrix:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(_is_int(v) for v in value)
+
+
+def _check_maximal(maximal, where: str) -> None:
+    """Refuse simplices that are not integer lists, a simplex with more than
+    ``_MAX_SIMPLEX_VERTICES`` vertices, and maximal simplices that would close
+    to more than ``_MAX_FACES`` faces (2^k - 1 for k distinct vertices)."""
+    if not (isinstance(maximal, list) and all(_is_int_list(s) for s in maximal)):
+        raise ValidationError(f"{where}: need maximal as a list of integer lists")
+    sizes = [len(set(s)) for s in maximal]
+    if max(sizes, default=0) > _MAX_SIMPLEX_VERTICES:
+        raise ValidationError(
+            f"{where}: a simplex has {max(sizes)} vertices, "
+            f"more than {_MAX_SIMPLEX_VERTICES}"
+        )
+    if sum(2 ** k - 1 for k in sizes) > _MAX_FACES:
+        raise ValidationError(
+            f"{where}: maximal simplices close to more than {_MAX_FACES} faces"
+        )
 
 
 def _named(table: dict, kind: str, name, where: str):
@@ -226,10 +255,10 @@ def parse_document(raw: bytes) -> Document:
         n_vertices = entry.get("n_vertices", 0)
         if not _is_int(n_vertices):
             raise ValidationError(f"{where}: need integer n_vertices")
+        maximal = entry.get("maximal", [])
+        _check_maximal(maximal, where)
         try:
-            doc.complexes[name] = cw.closure_and_validate(
-                n_vertices, entry.get("maximal", [])
-            )
+            doc.complexes[name] = cw.closure_and_validate(n_vertices, maximal)
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
     for name, entry in data.get("maps", {}).items():
@@ -238,10 +267,11 @@ def parse_document(raw: bytes) -> Document:
             raise ValidationError(f"{where}: need an object")
         src = _named(doc.complexes, "complex", entry.get("src"), where)
         dst = _named(doc.complexes, "complex", entry.get("dst"), where)
+        vertices = entry.get("vertices", [])
+        if not _is_int_list(vertices):
+            raise ValidationError(f"{where}: need vertices as a list of integers")
         try:
-            doc.maps[name] = cw.make_simplicial_map(
-                src, dst, entry.get("vertices", [])
-            )
+            doc.maps[name] = cw.make_simplicial_map(src, dst, vertices)
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
     for name, entry in data.get("space_cospans", {}).items():

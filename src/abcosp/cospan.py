@@ -29,10 +29,10 @@ from .abcat import (
     cokernel,
     compose,
     identity,
-    injection0,
-    injection1,
     is_mono,
     kernel,
+    pullback,
+    pushout,
 )
 from .exactlin import (
     Matrix,
@@ -169,43 +169,27 @@ def tensor_span(s: Span, t: Span) -> Span:
 
 
 def compose_cosp(c: Cospan, d: Cospan) -> Cospan:
-    """Pushout-style composition of cospans sharing the middle foot.
+    """Composition of cospans sharing the middle foot, by pushout.
 
-    The new bulk is the cokernel of ``(f1 (+) -f'0) . diagonal`` on the shared
-    foot; the legs are the original outer legs pushed into the quotient.
+    The new bulk is the pushout of ``c.f1`` and ``d.f0`` over the shared
+    foot; the legs are the outer legs ``c.f0`` and ``d.f1`` pushed into it.
     """
     if c.f1.src != d.f0.src:
         raise CompositionMismatch("cospans do not share the middle foot")
-    mid = c.f1.src
-    u = LinMap(
-        mid,
-        VecObj(mid.field, c.bulk.dim + d.bulk.dim),
-        vstack(c.f1.mat, -d.f0.mat),
-    )
-    q = cokernel(u)
-    i0 = injection0(c.bulk, d.bulk)
-    i1 = injection1(c.bulk, d.bulk)
-    g0 = compose(q, compose(i0, c.f0))
-    g1 = compose(q, compose(i1, d.f1))
-    return Cospan(g0, g1)
+    q0, q1 = pushout(c.f1, d.f0)
+    return Cospan(compose(q0, c.f0), compose(q1, d.f1))
 
 
 def compose_span(s: Span, t: Span) -> Span:
-    """Pullback-style composition of spans sharing the middle foot."""
+    """Composition of spans sharing the middle foot, by pullback.
+
+    The new bulk is the pullback of ``s.g1`` and ``t.g0`` over the shared
+    foot; the legs are the outer legs ``s.g0`` and ``t.g1`` pulled back.
+    """
     if s.g1.dst != t.g0.dst:
         raise CompositionMismatch("spans do not share the middle foot")
-    mid = s.g1.dst
-    z = LinMap(
-        VecObj(mid.field, s.bulk.dim + t.bulk.dim),
-        mid,
-        hstack(s.g1.mat, -t.g0.mat),
-    )
-    j = kernel(z)
-    top = j.mat.take_rows(range(s.bulk.dim))
-    bottom = j.mat.take_rows(range(s.bulk.dim, s.bulk.dim + t.bulk.dim))
-    h0 = LinMap(j.src, s.foot0, s.g0.mat @ top)
-    h1 = LinMap(j.src, t.foot1, t.g1.mat @ bottom)
-    return Span(h0, h1)
+    p0, p1 = pullback(s.g1, t.g0)
+    return Span(compose(s.g0, p0), compose(t.g1, p1))
 
 
 @lru_cache(maxsize=None)
@@ -321,33 +305,26 @@ def minimal_rep(c: Cospan) -> Cospan:
     """The smallest representative of the class of ``c``.
 
     Its bulk is the coimage of the joint map: the feet sum modulo the joint
-    kernel, with legs induced by the coordinate inclusions.
+    kernel, with legs the column blocks of the quotient map over each foot.
     """
-    kv = kernel(joint_map(c))
-    q = cokernel(kv)
-    i0 = injection0(c.foot0, c.foot1)
-    i1 = injection1(c.foot0, c.foot1)
-    return Cospan(compose(q, i0), compose(q, i1))
+    q = cokernel(kernel(joint_map(c))).mat
+    a0 = c.foot0.dim
+    bulk = VecObj(c.bulk.field, q.rows)
+    return Cospan(
+        LinMap(c.foot0, bulk, q.take_cols(range(a0))),
+        LinMap(c.foot1, bulk, q.take_cols(range(a0, a0 + c.foot1.dim))),
+    )
 
 
 def upper_bound(c: Cospan, d: Cospan) -> Optional[BoundWitness]:
     """A common upper bound of two cospans, when the pair has one.
 
-    The candidate bulk is the cokernel of the stacked joint maps on the feet
+    The candidate bulk is the pushout of the two joint maps over the feet
     sum; it is a genuine bound exactly when both comparison maps out of the
     input bulks are mono, which happens exactly when the classes agree.
     """
     _check_feet_cosp(c, d)
-    v, vp = joint_map(c), joint_map(d)
-    feet = v.src
-    u = LinMap(
-        feet,
-        VecObj(feet.field, c.bulk.dim + d.bulk.dim),
-        vstack(v.mat, -vp.mat),
-    )
-    q = cokernel(u)
-    m_left = compose(q, injection0(c.bulk, d.bulk))
-    m_right = compose(q, injection1(c.bulk, d.bulk))
+    m_left, m_right = pushout(joint_map(c), joint_map(d))
     if not (is_mono(m_left) and is_mono(m_right)):
         return None
     bound = Cospan(compose(m_left, c.f0), compose(m_left, c.f1))
@@ -357,31 +334,22 @@ def upper_bound(c: Cospan, d: Cospan) -> Optional[BoundWitness]:
 def lower_bound(c: Cospan, d: Cospan) -> Optional[BoundWitness]:
     """A common lower bound of two cospans, when the pair has one.
 
-    Built from the upper bound: the new bulk is the kernel of the folded
-    difference of the two comparison maps, and the legs are the diagonal leg
-    pairs factored through that kernel. Exists exactly when the upper bound
-    does.
+    Built from the upper bound: the new bulk is the pullback of its two
+    comparison maps, and the legs are the leg pairs ``(f0, f0')`` and
+    ``(f1, f1')`` factored through that pullback. Exists exactly when the
+    upper bound does.
     """
     ub = upper_bound(c, d)
     if ub is None:
         return None
-    bsum = VecObj(c.bulk.field, c.bulk.dim + d.bulk.dim)
-    z = LinMap(bsum, ub.w_left.dst, hstack(ub.w_left.mat, -ub.w_right.mat))
-    j = kernel(z)
-    h0 = vstack(c.f0.mat, d.f0.mat)
-    h1 = vstack(c.f1.mat, d.f1.mat)
-    x0 = solve_right(j.mat, h0)
-    x1 = solve_right(j.mat, h1)
+    u_left, u_right = pullback(ub.w_left, ub.w_right)
+    j = vstack(u_left.mat, u_right.mat)
+    x0 = solve_right(j, vstack(c.f0.mat, d.f0.mat))
+    x1 = solve_right(j, vstack(c.f1.mat, d.f1.mat))
     if x0 is None or x1 is None:
         raise AssertionError("internal defect: legs do not factor through")
-    l0 = LinMap(c.foot0, j.src, x0)
-    l1 = LinMap(c.foot1, j.src, x1)
-    u_left = LinMap(j.src, c.bulk, j.mat.take_rows(range(c.bulk.dim)))
-    u_right = LinMap(
-        j.src, d.bulk,
-        j.mat.take_rows(range(c.bulk.dim, c.bulk.dim + d.bulk.dim)),
-    )
-    return BoundWitness(Cospan(l0, l1), u_left, u_right)
+    bound = Cospan(LinMap(c.foot0, u_left.src, x0), LinMap(c.foot1, u_left.src, x1))
+    return BoundWitness(bound, u_left, u_right)
 
 
 def transpose_cosp(c: Cospan) -> Span:
@@ -404,18 +372,10 @@ def transpose_cosp(c: Cospan) -> Span:
 
 
 def transpose_span(s: Span) -> Cospan:
-    """The cospan on the cokernel of the signed joint map.
+    """The cospan on the pushout of the two legs.
 
-    Dual to ``transpose_cosp``: the bulk is the cokernel of ``(g0, -g1)`` and
-    the legs are the coordinate inclusions pushed into the quotient, so that
-    ``f0 . g0 == f1 . g1`` holds strictly.
+    Dual to ``transpose_cosp``: the bulk is the pushout of ``g0`` and ``g1``,
+    the cokernel of ``(g0, -g1)``, so that ``f0 . g0 == f1 . g1`` holds
+    strictly.
     """
-    w = LinMap(
-        s.bulk,
-        VecObj(s.bulk.field, s.foot0.dim + s.foot1.dim),
-        vstack(s.g0.mat, -s.g1.mat),
-    )
-    q = cokernel(w)
-    i0 = injection0(s.foot0, s.foot1)
-    i1 = injection1(s.foot0, s.foot1)
-    return Cospan(compose(q, i0), compose(q, i1))
+    return Cospan(*pushout(s.g0, s.g1))

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
-from .abcat import LinMap, SquareDiagram, VecObj, cokernel, compose
+from .abcat import LinMap, SquareDiagram, VecObj, compose, pushout
 from .cospan import Cospan, Span
 from .cw import (
     SimplicialComplex,
@@ -24,7 +24,7 @@ from .cw import (
     make_simplicial_map,
     simplex_set,
 )
-from .exactlin import Field, Matrix, rank, vstack
+from .exactlin import Field, Matrix, rank
 
 
 def rand_scalar(rng: random.Random, field: Field):
@@ -118,10 +118,9 @@ def rand_commuting_square(
     """A uniform-ish commuting square.
 
     The two maps out of the corner are free; every completion of them to a
-    commuting square factors through the cokernel of the stacked map, so
-    sampling the factor reaches all completions. The factor is square
-    exactly when that sample is mono, so both exact and inexact squares
-    occur with healthy frequency.
+    commuting square factors through their pushout, so sampling the factor
+    reaches all completions. The factor is square exactly when that sample
+    is mono, so both exact and inexact squares occur with healthy frequency.
     """
     a = rng.randint(0, max_dim)
     b = rng.randint(0, max_dim)
@@ -129,15 +128,9 @@ def rand_commuting_square(
     d = rng.randint(0, max_dim)
     f = rand_linmap(rng, field, a, b)
     f_prime = rand_linmap(rng, field, a, c)
-    u = vstack(f.mat, -f_prime.mat)
-    q = cokernel(LinMap(VecObj(field, a), VecObj(field, b + c), u))
-    w = rand_matrix(rng, field, d, q.dst.dim)
-    v = w @ q.mat
-    g = LinMap(VecObj(field, b), VecObj(field, d), v.take_cols(range(b)))
-    g_prime = LinMap(
-        VecObj(field, c), VecObj(field, d), v.take_cols(range(b, b + c))
-    )
-    return SquareDiagram(f, f_prime, g, g_prime)
+    q0, q1 = pushout(f, f_prime)
+    w = LinMap(q0.dst, VecObj(field, d), rand_matrix(rng, field, d, q0.dst.dim))
+    return SquareDiagram(f, f_prime, compose(w, q0), compose(w, q1))
 
 
 # GF(2) bitmask matrices: a matrix is a tuple of row ints, bit j of row i

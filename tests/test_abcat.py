@@ -16,19 +16,18 @@ from abcosp.abcat import (
     compose,
     diagonal,
     identity,
-    injection0,
-    injection1,
     is_epi,
     is_exact_at_middle,
     is_exact_square,
     is_mono,
     kernel,
     kernel_comparison,
-    neg,
+    pullback,
+    pushout,
     square_complex,
     zero_map,
 )
-from abcosp.exactlin import GF2, GF3, QQ, Matrix, matrix_to_rows, vstack
+from abcosp.exactlin import GF2, GF3, QQ, Matrix, matrix_to_rows
 from abcosp.generators import rand_commuting_square, rand_linmap
 
 FIELDS = (GF2, GF3, QQ)
@@ -140,7 +139,8 @@ def test_square_complex_rejects_noncommuting():
     one = k(GF2)
     two = VecObj(GF2, 2)
     sq = SquareDiagram(
-        identity(one), identity(one), injection0(one, one), injection1(one, one)
+        identity(one), identity(one),
+        lm(GF2, 1, 2, [[1], [0]]), lm(GF2, 1, 2, [[0], [1]]),
     )
     assert sq.f.dst == one and sq.g.dst == two
     with pytest.raises(NonCommutingSquare):
@@ -171,7 +171,7 @@ def test_exact_square_examples():
     # pushout-shaped square with zero corner: injections into the biproduct
     sq = SquareDiagram(
         zero_map(zero, one), zero_map(zero, one),
-        injection0(one, one), injection1(one, one),
+        lm(GF2, 1, 2, [[1], [0]]), lm(GF2, 1, 2, [[0], [1]]),
     )
     assert is_exact_square(sq)
     # all-zero maps through zero objects: middle exactness holds vacuously
@@ -194,14 +194,11 @@ def test_exact_square_comparison_maps_agree(rng):
 
 
 def _pushout_square(f, fp):
-    u = LinMap(
-        f.src, VecObj(f.src.field, f.dst.dim + fp.dst.dim),
-        vstack(f.mat, neg(fp).mat),
-    )
-    q = cokernel(u)
-    g = compose(q, injection0(f.dst, fp.dst))
-    gp = compose(q, injection1(f.dst, fp.dst))
-    return SquareDiagram(f, fp, g, gp)
+    return SquareDiagram(f, fp, *pushout(f, fp))
+
+
+def _pullback_square(g, gp):
+    return SquareDiagram(*pullback(g, gp), g, gp)
 
 
 def test_pushout_squares_are_exact(rng):
@@ -210,6 +207,37 @@ def test_pushout_squares_are_exact(rng):
             f = rand_linmap(rng, field, 2, rng.randint(0, 3))
             fp = rand_linmap(rng, field, 2, rng.randint(0, 3))
             assert is_exact_square(_pushout_square(f, fp))
+
+
+def test_pullback_squares_are_exact(rng):
+    for field in FIELDS:
+        for _ in range(20):
+            g = rand_linmap(rng, field, rng.randint(0, 3), 2)
+            gp = rand_linmap(rng, field, rng.randint(0, 3), 2)
+            assert is_exact_square(_pullback_square(g, gp))
+
+
+def test_pushout_and_pullback_commute(rng):
+    for field in FIELDS:
+        for _ in range(20):
+            a, b, c = (rng.randint(0, 3) for _ in range(3))
+            f, g = rand_linmap(rng, field, a, b), rand_linmap(rng, field, a, c)
+            q0, q1 = pushout(f, g)
+            assert q0.src == f.dst and q1.src == g.dst and q0.dst == q1.dst
+            assert compose(q0, f) == compose(q1, g)
+            f, g = rand_linmap(rng, field, b, a), rand_linmap(rng, field, c, a)
+            p0, p1 = pullback(f, g)
+            assert p0.dst == f.src and p1.dst == g.src and p0.src == p1.src
+            assert compose(f, p0) == compose(g, p1)
+
+
+def test_mismatched_corner_raises():
+    with pytest.raises(CompositionMismatch):
+        pushout(lm(QQ, 1, 1, [[1]]), lm(QQ, 2, 1, [[1, 0]]))
+    with pytest.raises(CompositionMismatch):
+        pullback(lm(QQ, 1, 1, [[1]]), lm(QQ, 1, 2, [[1], [0]]))
+    with pytest.raises(CompositionMismatch):
+        pushout(lm(GF2, 1, 1, [[1]]), lm(GF3, 1, 1, [[1]]))
 
 
 def test_glued_exact_squares_stay_exact(rng):

@@ -310,6 +310,29 @@ class TestMain:
              "complexes.k: need integer n_vertices"),
             ("homology", {"complexes": {"k": {"n_vertices": True, "maximal": [[0]]}}},
              "complexes.k: need integer n_vertices"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3, "maximal": [[0, 1.5]]}}},
+             "complexes.k: need maximal as a list of integer lists"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3, "maximal": [[0, True]]}}},
+             "complexes.k: need maximal as a list of integer lists"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3, "maximal": [[0, "a"]]}}},
+             "complexes.k: need maximal as a list of integer lists"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3, "maximal": 5}}},
+             "complexes.k: need maximal as a list of integer lists"),
+            ("homology", {"complexes": {"k": {"n_vertices": 3, "maximal": [5]}}},
+             "complexes.k: need maximal as a list of integer lists"),
+            ("extend-cospan", {"maps": {"m": {"src": "s0", "dst": "circle",
+                                              "vertices": [0, 1.0]}}},
+             "maps.m: need vertices as a list of integers"),
+            ("extend-cospan", {"maps": {"m": {"src": "s0", "dst": "circle",
+                                              "vertices": [0, True]}}},
+             "maps.m: need vertices as a list of integers"),
+            ("extend-cospan", {"maps": {"m": {"src": "s0", "dst": "circle",
+                                              "vertices": "01"}}},
+             "maps.m: need vertices as a list of integers"),
+            ("homology", {"matrices": {"m": {"rows": 1, "cols": 1, "entries": 5}}},
+             "matrices.m: matrix object needs integer rows/cols and an entries list"),
+            ("homology", {"matrices": {"m": {"rows": True, "cols": 1, "entries": [[1]]}}},
+             "matrices.m: matrix object needs integer rows/cols and an entries list"),
         ],
     )
     def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
@@ -318,6 +341,32 @@ class TestMain:
         assert cli.main([command, "--in", p, "--q", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"abcosp: {prefix}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "maximal, prefix",
+        [
+            ([list(range(40))], "complexes.k: a simplex has 40 vertices, more than 16"),
+            ([list(range(17))], "complexes.k: a simplex has 17 vertices, more than 16"),
+            ([list(range(16)), list(range(1, 17))],
+             "complexes.k: maximal simplices close to more than 65536 faces"),
+        ],
+    )
+    def test_face_closure_bounded_before_it_starts(
+        self, tmp_path, capsys, maximal, prefix
+    ):
+        complexes = {"k": {"n_vertices": 40, "maximal": maximal}}
+        doc = dict(BASE_DOC, field={"char": 2}, complexes=complexes,
+                   inputs={"complex": "k"})
+        p = write_doc(tmp_path, doc)
+        assert cli.main(["homology", "--in", p, "--q", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"abcosp: {prefix}\n"
+
+    def test_largest_single_simplex_is_accepted(self, tmp_path):
+        # one 16-vertex simplex closes to 2^16 - 1 faces, inside the bound
+        doc = {"field": {"char": 2},
+               "complexes": {"k": {"n_vertices": 16, "maximal": [list(range(16))]}}}
+        assert cli.load(write_doc(tmp_path, doc)).complexes["k"].dim == 15
 
     @pytest.mark.parametrize("char", [2.5, True, "2", None])
     def test_non_integer_characteristic_exits_two(self, tmp_path, capsys, char):
