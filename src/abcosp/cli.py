@@ -22,28 +22,13 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, Optional
 
 from . import abcat, brown, cospan, cw, generators
 from .exactlin import Field, Matrix, matrix_to_rows
 
 SCHEMA_VERSION = "1"
-COMMANDS = (
-    "canon",
-    "equiv",
-    "leq",
-    "compose",
-    "transpose",
-    "tensor",
-    "dagger",
-    "homology",
-    "mv-check",
-    "extend-cospan",
-    "extend-span",
-    "verify",
-    "oracle",
-    "random-suite",
-)
 
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 
@@ -56,6 +41,13 @@ _MAX_SIMPLEX_VERTICES = 16
 _VALUE_TABLES = (
     "matrices", "linmaps", "cospans", "spans", "complexes", "maps", "space_cospans"
 )
+# The value tables whose entries name two other values, and those names' keys.
+_LEGS = {
+    "cospans": ("f0", "f1"),
+    "spans": ("g0", "g1"),
+    "maps": ("src", "dst"),
+    "space_cospans": ("f0", "f1"),
+}
 
 
 class ParseError(ValueError):
@@ -187,6 +179,20 @@ def _named(table: dict, kind: str, name, where: str):
     return table[name]
 
 
+def _parse_pairs(doc: Document, key: str, table: dict, kind: str, make) -> None:
+    """Fill ``doc.<key>`` with ``make(a, b)`` for every entry whose two legs
+    name the values ``a`` and ``b`` of ``table``."""
+    for name, entry in doc.data.get(key, {}).items():
+        where = f"{key}.{name}"
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{where}: need an object")
+        a, b = (_named(table, kind, entry.get(leg), where) for leg in _LEGS[key])
+        try:
+            getattr(doc, key)[name] = make(a, b)
+        except Exception as e:
+            raise ValidationError(f"{where}: {e}") from e
+
+
 def parse_document(raw: bytes) -> Document:
     try:
         data = json.loads(raw.decode("utf-8"))
@@ -226,28 +232,8 @@ def parse_document(raw: bytes) -> Document:
             )
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
-    for name, entry in data.get("cospans", {}).items():
-        where = f"cospans.{name}"
-        try:
-            doc.cospans[name] = cospan.Cospan(
-                _named(doc.linmaps, "linmap", entry.get("f0"), where),
-                _named(doc.linmaps, "linmap", entry.get("f1"), where),
-            )
-        except ValidationError:
-            raise
-        except Exception as e:
-            raise ValidationError(f"{where}: {e}") from e
-    for name, entry in data.get("spans", {}).items():
-        where = f"spans.{name}"
-        try:
-            doc.spans[name] = cospan.Span(
-                _named(doc.linmaps, "linmap", entry.get("g0"), where),
-                _named(doc.linmaps, "linmap", entry.get("g1"), where),
-            )
-        except ValidationError:
-            raise
-        except Exception as e:
-            raise ValidationError(f"{where}: {e}") from e
+    _parse_pairs(doc, "cospans", doc.linmaps, "linmap", cospan.Cospan)
+    _parse_pairs(doc, "spans", doc.linmaps, "linmap", cospan.Span)
     for name, entry in data.get("complexes", {}).items():
         where = f"complexes.{name}"
         if not isinstance(entry, dict):
@@ -274,17 +260,7 @@ def parse_document(raw: bytes) -> Document:
             doc.maps[name] = cw.make_simplicial_map(src, dst, vertices)
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
-    for name, entry in data.get("space_cospans", {}).items():
-        where = f"space_cospans.{name}"
-        try:
-            doc.space_cospans[name] = cw.SpaceCospan(
-                _named(doc.maps, "map", entry.get("f0"), where),
-                _named(doc.maps, "map", entry.get("f1"), where),
-            )
-        except ValidationError:
-            raise
-        except Exception as e:
-            raise ValidationError(f"{where}: {e}") from e
+    _parse_pairs(doc, "space_cospans", doc.maps, "map", cw.SpaceCospan)
     return doc
 
 
@@ -300,53 +276,30 @@ def load(path: str) -> Document:
 def document_to_data(doc: Document) -> dict:
     """A value-faithful export of the document; parsing it back yields the
     same objects."""
-    f = doc.field
-    out: dict = {"version": SCHEMA_VERSION, "field": {"char": f.characteristic}}
+    out: dict = {"version": SCHEMA_VERSION, "field": {"char": doc.field.characteristic}}
 
     def mat(m: Matrix):
         if m.rows == 0 or m.cols == 0:
             return {"rows": m.rows, "cols": m.cols, "entries": matrix_to_rows(m)}
         return matrix_to_rows(m)
 
-    if doc.matrices:
-        out["matrices"] = {k: mat(v) for k, v in doc.matrices.items()}
-    if doc.linmaps:
-        out["linmaps"] = {
-            k: {"src": v.src.dim, "dst": v.dst.dim, "matrix": mat(v.mat)}
-            for k, v in doc.linmaps.items()
-        }
-    if doc.cospans:
-        out["cospans"] = {
-            k: {"f0": doc.data["cospans"][k]["f0"], "f1": doc.data["cospans"][k]["f1"]}
-            for k in doc.cospans
-        }
-    if doc.spans:
-        out["spans"] = {
-            k: {"g0": doc.data["spans"][k]["g0"], "g1": doc.data["spans"][k]["g1"]}
-            for k in doc.spans
-        }
-    if doc.complexes:
-        out["complexes"] = {
-            k: {
-                "n_vertices": v.n_vertices,
-                "maximal": [list(s) for s in generators._maximal_simplices(v)],
-            }
-            for k, v in doc.complexes.items()
-        }
-    if doc.maps:
-        out["maps"] = {
-            k: {
-                "src": doc.data["maps"][k]["src"],
-                "dst": doc.data["maps"][k]["dst"],
-                "vertices": list(v.vertex_map),
-            }
-            for k, v in doc.maps.items()
-        }
-    if doc.space_cospans:
-        out["space_cospans"] = {
-            k: dict(doc.data["space_cospans"][k])
-            for k in doc.space_cospans
-        }
+    def export(key: str, name: str, v):
+        if key == "matrices":
+            return mat(v)
+        if key == "linmaps":
+            return {"src": v.src.dim, "dst": v.dst.dim, "matrix": mat(v.mat)}
+        if key == "complexes":
+            maximal = generators._maximal_simplices(v)
+            return {"n_vertices": v.n_vertices, "maximal": [list(s) for s in maximal]}
+        entry = {leg: doc.data[key][name][leg] for leg in _LEGS[key]}
+        if key == "maps":
+            entry["vertices"] = list(v.vertex_map)
+        return entry
+
+    for key in _VALUE_TABLES:
+        values = getattr(doc, key)
+        if values:
+            out[key] = {k: export(key, k, v) for k, v in values.items()}
     for key in ("inputs", "suite", "oracle"):
         if key in doc.data:
             out[key] = doc.data[key]
@@ -357,21 +310,17 @@ def dumps_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _cospan_payload(c: cospan.Cospan) -> dict:
+def _payload(v) -> dict:
+    """Bulk dimension, legs and canonical class of a cospan or a span."""
+    if isinstance(v, cospan.Cospan):
+        legs, cls = (v.f0, v.f1), cospan.canonical_cosp(v)
+    else:
+        legs, cls = (v.g0, v.g1), cospan.canonical_span(v)
     return {
-        "bulk_dim": c.bulk.dim,
-        "leg0": matrix_to_rows(c.f0.mat),
-        "leg1": matrix_to_rows(c.f1.mat),
-        "class": brown.class_payload(cospan.canonical_cosp(c)),
-    }
-
-
-def _span_payload(s: cospan.Span) -> dict:
-    return {
-        "bulk_dim": s.bulk.dim,
-        "leg0": matrix_to_rows(s.g0.mat),
-        "leg1": matrix_to_rows(s.g1.mat),
-        "class": brown.class_payload(cospan.canonical_span(s)),
+        "bulk_dim": v.bulk.dim,
+        "leg0": matrix_to_rows(legs[0].mat),
+        "leg1": matrix_to_rows(legs[1].mat),
+        "class": brown.class_payload(cls),
     }
 
 
@@ -411,94 +360,41 @@ def _brown_functor(doc: Document, flags: dict) -> brown.BrownFunctor:
     return brown.BrownFunctor(doc.field, _need_q(flags))
 
 
-def _run_value(command: str, doc: Document, flags: dict):
-    if command == "canon":
-        kind, v = _both(doc, "left")
-        cls = (
-            cospan.canonical_cosp(v) if kind == "cospan" else cospan.canonical_span(v)
-        )
-        return "value", {"kind": kind, "class": brown.class_payload(cls)}, None
-    if command == "equiv":
-        kind, left, right = _pair(doc)
-        eq = (
-            cospan.equiv_cosp(left, right)
-            if kind == "cospan"
-            else cospan.equiv_span(left, right)
-        )
-        return "value", {"kind": kind, "equal": eq}, None
-    if command == "leq":
-        kind, left, right = _pair(doc)
-        wit = (
-            cospan.leq_cosp(left, right)
-            if kind == "cospan"
-            else cospan.leq_span(left, right)
-        )
-        return (
-            "value",
-            {
-                "kind": kind,
-                "holds": wit is not None,
-                "witness": None if wit is None else matrix_to_rows(wit.mat),
-            },
-            None,
-        )
-    if command == "compose":
-        kind, left, right = _pair(doc)
-        if kind == "cospan":
-            return "value", _cospan_payload(cospan.compose_cosp(left, right)), None
-        return "value", _span_payload(cospan.compose_span(left, right)), None
-    if command == "tensor":
-        kind, left, right = _pair(doc)
-        if kind == "cospan":
-            return "value", _cospan_payload(cospan.tensor_cosp(left, right)), None
-        return "value", _span_payload(cospan.tensor_span(left, right)), None
-    if command == "transpose":
-        kind, v = _both(doc, "left")
-        if kind == "cospan":
-            return "value", _span_payload(cospan.transpose_cosp(v)), None
-        return "value", _cospan_payload(cospan.transpose_span(v)), None
-    if command == "dagger":
-        kind, v = _both(doc, "left")
-        if kind == "cospan":
-            return "value", _cospan_payload(cospan.dagger_cosp(v)), None
-        return "value", _span_payload(cospan.dagger_span(v)), None
-    if command == "homology":
-        name = _role(doc, "complex")
-        K = _named(doc.complexes, "complex", name, "inputs.complex")
-        q = _need_q(flags)
-        hd = cw.homology(cw.augmented_chain(K, doc.field), q)
-        return (
-            "value",
-            {"dim": hd.space.dim, "cycles": matrix_to_rows(hd.reps)},
-            None,
-        )
-    if command == "extend-cospan":
-        lam = _named(
-            doc.space_cospans, "space cospan", _role(doc, "cospan"), "inputs.cospan"
-        )
-        ext = brown.cospanical_extend(_brown_functor(doc, flags), lam)
-        return (
-            "value",
-            {
-                "feet": [ext.feet[0].dim, ext.feet[1].dim],
-                "class": brown.class_payload(ext.cls),
-            },
-            None,
-        )
-    if command == "extend-span":
-        lam = _named(
-            doc.space_cospans, "space cospan", _role(doc, "cospan"), "inputs.cospan"
-        )
-        ext = brown.spanical_extend(_brown_functor(doc, flags), lam)
-        return (
-            "value",
-            {
-                "feet": [ext.feet[0].dim, ext.feet[1].dim],
-                "class": brown.class_payload(ext.cls),
-            },
-            None,
-        )
-    raise UnknownCommand(command)
+def _run_algebra(arity: int, on_cospan, on_span, payload, doc: Document, flags: dict):
+    """Apply one operation to ``left`` (and ``right`` when ``arity`` is 2):
+    ``on_cospan`` when they are cospans, its mirror ``on_span`` when spans."""
+    kind, *args = _both(doc, "left") if arity == 1 else _pair(doc)
+    result = (on_cospan if kind == "cospan" else on_span)(*args)
+    return "value", payload(kind, result), None
+
+
+def _algebra(arity: int, on_cospan, on_span, payload=lambda _kind, v: _payload(v)):
+    return partial(_run_algebra, arity, on_cospan, on_span, payload)
+
+
+def _leq_payload(kind: str, wit) -> dict:
+    return {
+        "kind": kind,
+        "holds": wit is not None,
+        "witness": None if wit is None else matrix_to_rows(wit.mat),
+    }
+
+
+def _run_homology(doc: Document, flags: dict):
+    name = _role(doc, "complex")
+    K = _named(doc.complexes, "complex", name, "inputs.complex")
+    q = _need_q(flags)
+    hd = cw.homology(cw.augmented_chain(K, doc.field), q)
+    return "value", {"dim": hd.space.dim, "cycles": matrix_to_rows(hd.reps)}, None
+
+
+def _run_extend(extend, doc: Document, flags: dict):
+    lam = _named(
+        doc.space_cospans, "space cospan", _role(doc, "cospan"), "inputs.cospan"
+    )
+    ext = extend(_brown_functor(doc, flags), lam)
+    feet = [ext.feet[0].dim, ext.feet[1].dim]
+    return "value", {"feet": feet, "class": brown.class_payload(ext.cls)}, None
 
 
 def _run_mv(doc: Document, flags: dict):
@@ -578,8 +474,8 @@ def _run_oracle(doc: Document, flags: dict):
             "fail",
             {"checked": checked},
             {
-                "left": _cospan_payload(c),
-                "right": _cospan_payload(d),
+                "left": _payload(c),
+                "right": _payload(d),
                 "disagreement": disagreement,
             },
         )
@@ -711,20 +607,42 @@ def _suite_instance(
     return None
 
 
+# Command name -> runner(doc, flags) -> (outcome, value, counterexample), in
+# the order argparse lists the choices.
+_RUNNERS = {
+    "canon": _algebra(
+        1,
+        cospan.canonical_cosp,
+        cospan.canonical_span,
+        lambda kind, cls: {"kind": kind, "class": brown.class_payload(cls)},
+    ),
+    "equiv": _algebra(
+        2,
+        cospan.equiv_cosp,
+        cospan.equiv_span,
+        lambda kind, eq: {"kind": kind, "equal": eq},
+    ),
+    "leq": _algebra(2, cospan.leq_cosp, cospan.leq_span, _leq_payload),
+    "compose": _algebra(2, cospan.compose_cosp, cospan.compose_span),
+    "transpose": _algebra(1, cospan.transpose_cosp, cospan.transpose_span),
+    "tensor": _algebra(2, cospan.tensor_cosp, cospan.tensor_span),
+    "dagger": _algebra(1, cospan.dagger_cosp, cospan.dagger_span),
+    "homology": _run_homology,
+    "mv-check": _run_mv,
+    "extend-cospan": partial(_run_extend, brown.cospanical_extend),
+    "extend-span": partial(_run_extend, brown.spanical_extend),
+    "verify": _run_verify,
+    "oracle": _run_oracle,
+    "random-suite": _run_random_suite,
+}
+COMMANDS = tuple(_RUNNERS)
+
+
 def run(command: str, doc: Document, flags: dict) -> dict:
-    start = time.monotonic()
-    if command == "mv-check":
-        outcome, value, ce = _run_mv(doc, flags)
-    elif command == "verify":
-        outcome, value, ce = _run_verify(doc, flags)
-    elif command == "oracle":
-        outcome, value, ce = _run_oracle(doc, flags)
-    elif command == "random-suite":
-        outcome, value, ce = _run_random_suite(doc, flags)
-    elif command in COMMANDS:
-        outcome, value, ce = _run_value(command, doc, flags)
-    else:
+    if command not in _RUNNERS:
         raise UnknownCommand(command)
+    start = time.monotonic()
+    outcome, value, ce = _RUNNERS[command](doc, flags)
     elapsed = int((time.monotonic() - start) * 1000)
     report = {
         "version": SCHEMA_VERSION,
@@ -774,9 +692,6 @@ def main(argv=None) -> int:
             "seed": args.seed,
         }
         report = run(args.command, doc, flags)
-    except (ParseError, ValidationError, UnknownCommand) as e:
-        print(f"abcosp: {e}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as e:
         print(f"abcosp: {e}", file=sys.stderr)
         return 2
