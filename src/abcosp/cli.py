@@ -36,6 +36,14 @@ _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 # bounded (see _check_maximal) before they are closed.
 _MAX_FACES = 1 << 16
 _MAX_SIMPLEX_VERTICES = 16
+# Declared sizes are bounded before the work they size: vector space and
+# matrix dimensions (the cost of a canonical form grows with their square),
+# and the oracle's exhaustive pairs, counted in closed form before
+# enumeration. Exhaustive feet are bounded too: with bulk 0 every foot pair
+# adds a pair whose class is an identity of size a0 + a1.
+_MAX_DIM = 256
+_MAX_ORACLE_PAIRS = 1 << 17
+_MAX_ORACLE_FEET = 16
 
 # Document keys that hold name -> value tables.
 _VALUE_TABLES = (
@@ -114,6 +122,10 @@ def _parse_matrix(f: Field, entry, where: str) -> Matrix:
         if not (_is_int(rows) and _is_int(cols) and isinstance(entries, list)):
             raise ValidationError(
                 f"{where}: matrix object needs integer rows/cols and an entries list"
+            )
+        if not (0 <= rows <= _MAX_DIM and 0 <= cols <= _MAX_DIM):
+            raise ValidationError(
+                f"{where}: need rows and cols in [0, {_MAX_DIM}]"
             )
         grid = entries
     elif isinstance(entry, list):
@@ -200,6 +212,8 @@ def parse_document(raw: bytes) -> Document:
         raise ParseError(f"not utf-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError("values nested too deeply") from e
     if not isinstance(data, dict):
         raise ValidationError("top level must be an object")
     version = data.get("version", SCHEMA_VERSION)
@@ -225,6 +239,8 @@ def parse_document(raw: bytes) -> Document:
         src, dst = entry.get("src"), entry.get("dst")
         if not (_is_int(src) and _is_int(dst)):
             raise ValidationError(f"{where}: need integer src and dst")
+        if not (0 <= src <= _MAX_DIM and 0 <= dst <= _MAX_DIM):
+            raise ValidationError(f"{where}: need src and dst in [0, {_MAX_DIM}]")
         m = _matrix_ref(doc, entry.get("matrix"), f"{where}.matrix")
         try:
             doc.linmaps[name] = abcat.LinMap(
@@ -241,6 +257,10 @@ def parse_document(raw: bytes) -> Document:
         n_vertices = entry.get("n_vertices", 0)
         if not _is_int(n_vertices):
             raise ValidationError(f"{where}: need integer n_vertices")
+        if n_vertices > _MAX_FACES:
+            raise ValidationError(
+                f"{where}: n_vertices {n_vertices} is more than {_MAX_FACES}"
+            )
         maximal = entry.get("maximal", [])
         _check_maximal(maximal, where)
         try:
@@ -447,16 +467,37 @@ def _oracle_pairs(field: Field, max_feet, max_bulk, samples, sample_bulk, seed):
         yield c, d, False
 
 
+def _exhaustive_pairs(max_feet: int, max_bulk: int) -> int:
+    """How many pairs the oracle's exhaustive pools hold: the sum over
+    a0, a1 <= max_feet of (sum over b <= max_bulk of 2^(b(a0 + a1)))^2,
+    the square of the number of GF(2) cospans A0 -> B <- A1. Counting stops
+    once the total passes ``_MAX_ORACLE_PAIRS``."""
+    total = 0
+    for a0 in range(max_feet + 1):
+        for a1 in range(max_feet + 1):
+            total += sum(1 << (b * (a0 + a1)) for b in range(max_bulk + 1)) ** 2
+            if total > _MAX_ORACLE_PAIRS:
+                return total
+    return total
+
+
 def _run_oracle(doc: Document, flags: dict):
     if doc.field.characteristic != 2:
         raise ValidationError("oracle: the brute-force oracle runs over GF(2)")
     params = doc.data.get("oracle", {})
+    max_feet = _count(params, "oracle", "max_feet", 2, most=_MAX_ORACLE_FEET)
+    max_bulk = _count(params, "oracle", "max_bulk", 1, most=_MAX_DIM)
+    if _exhaustive_pairs(max_feet, max_bulk) > _MAX_ORACLE_PAIRS:
+        raise ValidationError(
+            f"oracle: max_feet {max_feet} and max_bulk {max_bulk} give more "
+            f"than {_MAX_ORACLE_PAIRS} exhaustive pairs"
+        )
     pairs = _oracle_pairs(
         doc.field,
-        _count(params, "oracle", "max_feet", 2),
-        _count(params, "oracle", "max_bulk", 1),
+        max_feet,
+        max_bulk,
         _count(params, "oracle", "samples", 200),
-        _count(params, "oracle", "max_sample_bulk", 2),
+        _count(params, "oracle", "max_sample_bulk", 2, most=_MAX_DIM),
         flags.get("seed") or 0,
     )
     checked = 0
@@ -482,10 +523,14 @@ def _run_oracle(doc: Document, flags: dict):
     return "pass", {"checked": checked}, None
 
 
-def _count(params: dict, block: str, key: str, default: int, least: int = 0) -> int:
+def _count(
+    params: dict, block: str, key: str, default: int, least: int = 0, most=None
+) -> int:
     value = params.get(key, default)
     if not _is_int(value) or value < least:
         raise ValidationError(f"{block}.{key}: need an integer >= {least}")
+    if most is not None and value > most:
+        raise ValidationError(f"{block}.{key}: {value} is more than {most}")
     return value
 
 
@@ -501,8 +546,8 @@ def _suite_fields(chars) -> list:
 def _run_random_suite(doc: Document, flags: dict):
     params = doc.data.get("suite", {})
     count = _count(params, "suite", "count", 25)
-    max_feet = _count(params, "suite", "max_feet", 3)
-    max_bulk = _count(params, "suite", "max_bulk", 4)
+    max_feet = _count(params, "suite", "max_feet", 3, most=_MAX_DIM)
+    max_bulk = _count(params, "suite", "max_bulk", 4, most=_MAX_DIM)
     max_vertices = _count(params, "suite", "max_vertices", 8, least=1)
     fields = _suite_fields(params.get("chars", [2, 3, 0]))
     seed = flags.get("seed") or 0

@@ -76,10 +76,6 @@ class Field:
                 f"characteristic must be 0 or a prime below 2^31, got {c}"
             )
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def zero(self) -> Scalar:
         return Fraction(0) if self.characteristic == 0 else 0
 
@@ -248,15 +244,6 @@ class Matrix:
                 s *= d
                 out.append(tuple(Fraction(x, s) if x else zero for x in acc))
         return Matrix(self.field, self.rows, other.cols, tuple(out))
-
-    def scale(self, s) -> "Matrix":
-        c = self.field.coerce(s)
-        p = self.field.characteristic
-        if p == 0:
-            data = tuple(tuple(c * a for a in row) for row in self.entries)
-        else:
-            data = tuple(tuple((c * a) % p for a in row) for row in self.entries)
-        return Matrix(self.field, self.rows, self.cols, data)
 
 
 def _integer_rows(entries) -> Tuple[list, int]:

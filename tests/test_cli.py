@@ -1,12 +1,17 @@
 """File-in, report-out command layer: parsing, validation, determinism, exits."""
 
+import contextlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abcosp import cli
 
@@ -142,6 +147,14 @@ class TestValidation:
         with pytest.raises(cli.ParseError, match="line"):
             cli.load(str(p))
 
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"field": {"char": 2}, "x": ' + "[" * 100000 + "]" * 100000 + "}")
+        with pytest.raises(cli.ParseError, match="nested too deeply"):
+            cli.load(str(p))
+        assert cli.main(["canon", "--in", str(p)]) == 2
+        assert capsys.readouterr().err == "abcosp: values nested too deeply\n"
+
     def test_missing_file_is_parse_error(self):
         with pytest.raises(cli.ParseError):
             cli.load("/nonexistent/doc.json")
@@ -197,6 +210,24 @@ class TestCommands:
         rep = cli.run("oracle", docg, {"seed": 1})
         assert rep["outcome"] == "pass"
         assert rep["value"]["checked"] > 0
+
+    def test_exhaustive_pair_count_matches_enumeration(self):
+        from abcosp.exactlin import GF2
+        from abcosp.generators import enum_cospans_gf2
+
+        for max_feet in range(3):
+            for max_bulk in range(3):
+                pools = [
+                    len(list(enum_cospans_gf2(GF2, a0, a1, max_bulk)))
+                    for a0 in range(max_feet + 1)
+                    for a1 in range(max_feet + 1)
+                ]
+                assert cli._exhaustive_pairs(max_feet, max_bulk) == sum(
+                    n * n for n in pools
+                )
+        # the acceptance criterion 2 pool fits; one more foot and bulk does not
+        assert cli._exhaustive_pairs(2, 2) == 86617 <= cli._MAX_ORACLE_PAIRS
+        assert cli._exhaustive_pairs(3, 3) > cli._MAX_ORACLE_PAIRS
 
     def test_missing_degree_flag(self, doc):
         with pytest.raises(cli.ValidationError):
@@ -333,6 +364,32 @@ class TestMain:
              "matrices.m: matrix object needs integer rows/cols and an entries list"),
             ("homology", {"matrices": {"m": {"rows": True, "cols": 1, "entries": [[1]]}}},
              "matrices.m: matrix object needs integer rows/cols and an entries list"),
+            ("homology", {"matrices": {"m": {"rows": 0, "cols": -1, "entries": []}}},
+             "matrices.m: need rows and cols in [0, 256]\n"),
+            ("homology", {"matrices": {"m": {"rows": 0, "cols": 2000, "entries": []}}},
+             "matrices.m: need rows and cols in [0, 256]\n"),
+            ("canon", {"linmaps": {"h": {"src": 2000, "dst": 0,
+                                         "matrix": {"rows": 0, "cols": 2000, "entries": []}}}},
+             "linmaps.h: need src and dst in [0, 256]\n"),
+            ("canon", {"linmaps": {"h": {"src": 1, "dst": -1, "matrix": [[1]]}}},
+             "linmaps.h: need src and dst in [0, 256]\n"),
+            ("mv-check", {"complexes": {"k": {"n_vertices": 3000000, "maximal": [[0, 1]]}}},
+             "complexes.k: n_vertices 3000000 is more than 65536\n"),
+            ("random-suite", {"suite": {"max_feet": 257}},
+             "suite.max_feet: 257 is more than 256\n"),
+            ("random-suite", {"suite": {"max_bulk": 10 ** 9}},
+             "suite.max_bulk: 1000000000 is more than 256\n"),
+            ("oracle", {"oracle": {"max_sample_bulk": 257}},
+             "oracle.max_sample_bulk: 257 is more than 256\n"),
+            ("oracle", {"oracle": {"max_feet": 17, "max_bulk": 0}},
+             "oracle.max_feet: 17 is more than 16\n"),
+            ("oracle", {"oracle": {"max_feet": 2, "max_bulk": 10 ** 9}},
+             "oracle.max_bulk: 1000000000 is more than 256\n"),
+            ("oracle", {"oracle": {"max_feet": 3, "max_bulk": 3}},
+             "oracle: max_feet 3 and max_bulk 3 give more than 131072 exhaustive pairs\n"),
+            ("canon", {"cospans": {"c": [1]}}, "cospans.c: need an object\n"),
+            ("canon", {"spans": {"s": None}}, "spans.s: need an object\n"),
+            ("verify", {"space_cospans": {"lam": "idc"}}, "space_cospans.lam: need an object\n"),
         ],
     )
     def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
@@ -431,3 +488,88 @@ def test_run_random_suite_script_honours_char(monkeypatch, capsys):
     assert script.main(["--char", "5", "--count", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["outcome"] == "pass"
     assert seen == [5, 5, 5]
+
+
+# Fuzzing the document boundary: BASE_DOC plus an object-form matrix and a
+# span, mutated by dropping, retyping or inflating any field.
+FUZZ_DOC = dict(
+    BASE_DOC,
+    matrices={"z": {"rows": 0, "cols": 1, "entries": []}},
+    spans={"s": {"g0": "g0", "g1": "g1"}},
+)
+FUZZ_DOC["linmaps"] = dict(
+    BASE_DOC["linmaps"], z={"src": 1, "dst": 0, "matrix": "z"}
+)
+FUZZ_RUNS = (
+    ("canon",),
+    ("equiv",),
+    ("compose",),
+    ("homology", "--q", "1"),
+    ("extend-cospan", "--q", "0"),
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+FUZZ_PATHS = [p for p in _paths(FUZZ_DOC) if p]
+RETYPED = (None, True, 1.5, "x", [], [1], {}, {"a": 1})
+
+
+def _mutate(doc, path, op, new):
+    parent = doc
+    for key in path[:-1]:
+        if isinstance(parent, dict) and key in parent:
+            parent = parent[key]
+        elif isinstance(parent, list) and isinstance(key, int) and key < len(parent):
+            parent = parent[key]
+        else:
+            return
+    key = path[-1]
+    if isinstance(parent, dict) and key in parent or (
+        isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+    ):
+        if op == "drop":
+            del parent[key]
+        else:
+            parent[key] = new
+
+
+_mutation = st.tuples(
+    st.sampled_from(FUZZ_PATHS),
+    st.one_of(
+        st.tuples(st.just("drop"), st.none()),
+        st.tuples(st.just("set"), st.sampled_from(RETYPED)),
+        st.tuples(st.just("set"), st.integers(min_value=-1, max_value=10 ** 9)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(_mutation, min_size=1, max_size=3),
+       argv=st.sampled_from(FUZZ_RUNS))
+def test_mutated_documents_exit_cleanly(mutations, argv):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    for path, (op, new) in mutations:
+        _mutate(doc, path, op, new)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.main([argv[0], "--in", path, *argv[1:]])
+    assert status in (0, 1, 2, 3)
+    if status in (2, 3):
+        text = err.getvalue()
+        assert text.startswith("abcosp: ") and text.count("\n") == 1, text
+        assert "Traceback" not in text and out.getvalue() == ""
