@@ -144,7 +144,6 @@ def algebra_cases(tag: str, field: Field, seed: int):
     t = _epi_extension(rng, field, s)
     assert cospan.leq_span(s, t) is not None
     yield f"{tag}-span-leq-holds", algebra_doc(field, s, t)
-    assert cospan.leq_span(t, s) is None or t.bulk.dim == s.bulk.dim
     yield f"{tag}-span-leq-reversed", algebra_doc(field, t, s)
     s1 = generators.rand_span(rng, field, 1, 2, 2)
     s2 = generators.rand_span(rng, field, 2, 0, 2)

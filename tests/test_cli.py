@@ -365,31 +365,31 @@ class TestMain:
             ("homology", {"matrices": {"m": {"rows": True, "cols": 1, "entries": [[1]]}}},
              "matrices.m: matrix object needs integer rows/cols and an entries list"),
             ("homology", {"matrices": {"m": {"rows": 0, "cols": -1, "entries": []}}},
-             "matrices.m: need rows and cols in [0, 256]\n"),
+             "matrices.m: need rows and cols in [0, 256]"),
             ("homology", {"matrices": {"m": {"rows": 0, "cols": 2000, "entries": []}}},
-             "matrices.m: need rows and cols in [0, 256]\n"),
+             "matrices.m: need rows and cols in [0, 256]"),
             ("canon", {"linmaps": {"h": {"src": 2000, "dst": 0,
                                          "matrix": {"rows": 0, "cols": 2000, "entries": []}}}},
-             "linmaps.h: need src and dst in [0, 256]\n"),
+             "linmaps.h: need src and dst in [0, 256]"),
             ("canon", {"linmaps": {"h": {"src": 1, "dst": -1, "matrix": [[1]]}}},
-             "linmaps.h: need src and dst in [0, 256]\n"),
+             "linmaps.h: need src and dst in [0, 256]"),
             ("mv-check", {"complexes": {"k": {"n_vertices": 3000000, "maximal": [[0, 1]]}}},
-             "complexes.k: n_vertices 3000000 is more than 65536\n"),
+             "complexes.k: n_vertices 3000000 is more than 65536"),
             ("random-suite", {"suite": {"max_feet": 257}},
-             "suite.max_feet: 257 is more than 256\n"),
+             "suite.max_feet: 257 is more than 256"),
             ("random-suite", {"suite": {"max_bulk": 10 ** 9}},
-             "suite.max_bulk: 1000000000 is more than 256\n"),
+             "suite.max_bulk: 1000000000 is more than 256"),
             ("oracle", {"oracle": {"max_sample_bulk": 257}},
-             "oracle.max_sample_bulk: 257 is more than 256\n"),
+             "oracle.max_sample_bulk: 257 is more than 256"),
             ("oracle", {"oracle": {"max_feet": 17, "max_bulk": 0}},
-             "oracle.max_feet: 17 is more than 16\n"),
+             "oracle.max_feet: 17 is more than 16"),
             ("oracle", {"oracle": {"max_feet": 2, "max_bulk": 10 ** 9}},
-             "oracle.max_bulk: 1000000000 is more than 256\n"),
+             "oracle.max_bulk: 1000000000 is more than 256"),
             ("oracle", {"oracle": {"max_feet": 3, "max_bulk": 3}},
-             "oracle: max_feet 3 and max_bulk 3 give more than 131072 exhaustive pairs\n"),
-            ("canon", {"cospans": {"c": [1]}}, "cospans.c: need an object\n"),
-            ("canon", {"spans": {"s": None}}, "spans.s: need an object\n"),
-            ("verify", {"space_cospans": {"lam": "idc"}}, "space_cospans.lam: need an object\n"),
+             "oracle: max_feet 3 and max_bulk 3 give more than 131072 exhaustive pairs"),
+            ("canon", {"cospans": {"c": [1]}}, "cospans.c: need an object"),
+            ("canon", {"spans": {"s": None}}, "spans.s: need an object"),
+            ("verify", {"space_cospans": {"lam": "idc"}}, "space_cospans.lam: need an object"),
         ],
     )
     def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
