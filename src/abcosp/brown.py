@@ -45,8 +45,6 @@ from .cw import (
     dagger_space,
     homology,
     induced_on_homology,
-    suspension_shift,
-    suspension_shift_map,
     t_sigma_chain,
     t_sigma_of_chain,
     wedge_space_cospans,
@@ -94,10 +92,13 @@ def chain_homology_span(E: BrownFunctor, s: ChainSpan) -> Span:
 
 
 def suspended_morphism(E: BrownFunctor, f: SimplicialMap) -> LinMap:
-    """What the map induces between suspended homology spaces at degree q."""
-    return induced_on_homology(
-        suspension_shift_map(chain_map_of(f, E.field)), E.q
-    )
+    """What the map induces between suspended homology spaces at degree q.
+
+    Suspension raises every degree by one and negates the differentials,
+    which leaves each reduced echelon form, and so each homology
+    representative, as it was. The map is therefore read one degree down.
+    """
+    return induced_on_homology(chain_map_of(f, E.field), E.q - 1)
 
 
 def suspended_homology_cospan(E: BrownFunctor, c: SpaceCospan) -> Cospan:
@@ -173,6 +174,11 @@ def class_payload(cls: CanonicalClass) -> dict:
     }
 
 
+def _mismatch(name: str, left: CanonicalClass, right: CanonicalClass) -> dict:
+    """A failure entry naming a law whose two sides gave different classes."""
+    return {"name": name, "left": class_payload(left), "right": class_payload(right)}
+
+
 def _report(E: BrownFunctor, check: str, failures: list) -> dict:
     return {
         "check": check,
@@ -199,43 +205,21 @@ def verify_extension_functoriality(
     lhs = compose_cosp(a, b)
     cc = composite_chain_cospan(E, c, d)
     rhs = chain_homology_cospan(E, cc)
+    left, right = canonical_cosp(lhs), canonical_cosp(rhs)
     if leq_cosp(lhs, rhs) is None:
-        failures.append(
-            {
-                "name": "cospanical_leq",
-                "left": class_payload(canonical_cosp(lhs)),
-                "right": class_payload(canonical_cosp(rhs)),
-            }
-        )
-    if canonical_cosp(lhs) != canonical_cosp(rhs):
-        failures.append(
-            {
-                "name": "cospanical_class_equality",
-                "left": class_payload(canonical_cosp(lhs)),
-                "right": class_payload(canonical_cosp(rhs)),
-            }
-        )
+        failures.append(_mismatch("cospanical_leq", left, right))
+    if left != right:
+        failures.append(_mismatch("cospanical_class_equality", left, right))
     if E.q >= 1:
         sa = chain_homology_span(E, t_sigma_chain(c, E.field))
         sb = chain_homology_span(E, t_sigma_chain(d, E.field))
         lhs_sp = compose_span(sa, sb)
         rhs_sp = chain_homology_span(E, t_sigma_of_chain(cc))
+        left, right = canonical_span(lhs_sp), canonical_span(rhs_sp)
         if leq_span(lhs_sp, rhs_sp) is None:
-            failures.append(
-                {
-                    "name": "spanical_leq",
-                    "left": class_payload(canonical_span(lhs_sp)),
-                    "right": class_payload(canonical_span(rhs_sp)),
-                }
-            )
-        if canonical_span(lhs_sp) != canonical_span(rhs_sp):
-            failures.append(
-                {
-                    "name": "spanical_class_equality",
-                    "left": class_payload(canonical_span(lhs_sp)),
-                    "right": class_payload(canonical_span(rhs_sp)),
-                }
-            )
+            failures.append(_mismatch("spanical_leq", left, right))
+        if left != right:
+            failures.append(_mismatch("spanical_class_equality", left, right))
     return _report(E, "functoriality", failures)
 
 
@@ -245,13 +229,7 @@ def verify_extension_dagger(E: BrownFunctor, c: SpaceCospan) -> dict:
     left = cospanical_extend(E, dagger_space(c)).cls
     right = canonical_cosp(dagger_cosp(homology_cospan(E, c)))
     if left != right:
-        failures.append(
-            {
-                "name": "dagger_class_equality",
-                "left": class_payload(left),
-                "right": class_payload(right),
-            }
-        )
+        failures.append(_mismatch("dagger_class_equality", left, right))
     return _report(E, "dagger", failures)
 
 
@@ -294,13 +272,7 @@ def verify_extension_monoidal(
             blocks[0].dst, blocks[1].dst, image_basis(transport @ summed.K)
         )
         if moved != left:
-            failures.append(
-                {
-                    "name": "monoidal_class_equality",
-                    "left": class_payload(left),
-                    "right": class_payload(moved),
-                }
-            )
+            failures.append(_mismatch("monoidal_class_equality", left, moved))
     return _report(E, "monoidal", failures)
 
 
@@ -312,11 +284,5 @@ def verify_transposition_compatibility(E: BrownFunctor, c: SpaceCospan) -> dict:
     left = spanical_extend(E, c).cls
     right = canonical_span(transpose_cosp(suspended_homology_cospan(E, c)))
     if left != right:
-        failures.append(
-            {
-                "name": "transposition_class_equality",
-                "left": class_payload(left),
-                "right": class_payload(right),
-            }
-        )
+        failures.append(_mismatch("transposition_class_equality", left, right))
     return _report(E, "transposition", failures)

@@ -373,6 +373,8 @@ def _need_q(flags: dict) -> int:
     q = flags.get("q")
     if q is None:
         raise ValidationError("this command needs --q")
+    if q < 0:
+        raise ValidationError("homology degree must be nonnegative")
     return q
 
 

@@ -243,12 +243,17 @@ def _mono_witness(v: Matrix, vp: Matrix) -> Optional[Matrix]:
     columns before it, which is the greedy rule. The identity block of the
     first reduced form is the row operation taking ``P`` to the identity, so
     it is ``inverse(P)`` itself.
+
+    Existence is read off the same eliminations, not off the canonical
+    classes, so a caller that decided through the classes gets an
+    independent cross-check. ``E'`` has ``bp - r`` units exactly when
+    ``vp_J`` is independent, so ``ker vp`` is no larger than ``ker v``;
+    ``G @ v == vp`` puts ``ker v`` inside ``ker vp``. Both together make the
+    kernels equal and ``G`` mono.
     """
     field = v.field
     b, bp = v.rows, vp.rows
     if b > bp:
-        return None
-    if image_basis(kernel_basis(v)) != image_basis(kernel_basis(vp)):
         return None
     J = rref(v).pivots
     r = len(J)
@@ -257,10 +262,10 @@ def _mono_witness(v: Matrix, vp: Matrix) -> Optional[Matrix]:
     vpJ = vp.take_cols(J)
     units = Matrix.identity(field, bp)
     Ep, _ = extend_columns(vpJ, units)
+    if len(Ep) != bp - r:
+        return None
     G = hstack(vpJ, units.take_cols(Ep[:b - r])) @ Pinv
-    if (G @ v) != vp:
-        raise AssertionError("internal defect: assembled witness fails")
-    return G
+    return G if G @ v == vp else None
 
 
 def leq_cosp(c: Cospan, d: Cospan) -> Optional[LinMap]:
@@ -319,14 +324,18 @@ def minimal_rep(c: Cospan) -> Cospan:
 def upper_bound(c: Cospan, d: Cospan) -> Optional[BoundWitness]:
     """A common upper bound of two cospans, when the pair has one.
 
-    The candidate bulk is the pushout of the two joint maps over the feet
-    sum; it is a genuine bound exactly when both comparison maps out of the
-    input bulks are mono, which happens exactly when the classes agree.
+    A bound exists exactly when the canonical classes agree, so that is the
+    decision. Only then is the bound built: its bulk is the pushout of the
+    two joint maps over the feet sum, and the comparison maps out of the
+    input bulks are mono because the joint kernels are equal. A comparison
+    map that is not mono is an internal defect.
     """
     _check_feet_cosp(c, d)
+    if canonical_cosp(c) != canonical_cosp(d):
+        return None
     m_left, m_right = pushout(joint_map(c), joint_map(d))
     if not (is_mono(m_left) and is_mono(m_right)):
-        return None
+        raise AssertionError("internal defect: pushout comparison map is not mono")
     bound = Cospan(compose(m_left, c.f0), compose(m_left, c.f1))
     return BoundWitness(bound, m_left, m_right)
 
@@ -337,7 +346,7 @@ def lower_bound(c: Cospan, d: Cospan) -> Optional[BoundWitness]:
     Built from the upper bound: the new bulk is the pullback of its two
     comparison maps, and the legs are the leg pairs ``(f0, f0')`` and
     ``(f1, f1')`` factored through that pullback. Exists exactly when the
-    upper bound does.
+    upper bound does, i.e. when the canonical classes agree.
     """
     ub = upper_bound(c, d)
     if ub is None:

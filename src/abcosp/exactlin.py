@@ -459,24 +459,15 @@ def subspace_equal(B1: Matrix, B2: Matrix) -> bool:
 def solve_left(V: Matrix, W: Matrix) -> Optional[Matrix]:
     """One solution ``G`` of ``G @ V == W``, or None.
 
-    A solution exists exactly when ``ker V`` is contained in ``ker W``. The
-    returned solution is canonical: free variables of the transposed system
-    are set to zero.
+    A solution exists exactly when ``ker V`` is contained in ``ker W``. It is
+    the transpose of the solution of ``V.T @ G.T == W.T``, so free variables
+    of the transposed system are set to zero.
     """
     _check_same_field(V, W)
     if V.cols != W.cols:
         raise ShapeError("solve_left needs matching column counts")
-    aug = rref(hstack(V.transpose(), W.transpose()))
-    b = V.rows
-    if any(pc >= b for pc in aug.pivots):
-        return None
-    z = V.field.zero()
-    gt = [[z] * W.rows for _ in range(b)]
-    for i, pc in enumerate(aug.pivots):
-        for j in range(W.rows):
-            gt[pc][j] = aug.R.entries[i][b + j]
-    data = tuple(tuple(gt[i][j] for i in range(b)) for j in range(W.rows))
-    return Matrix(V.field, W.rows, b, data)
+    X = solve_right(V.transpose(), W.transpose())
+    return None if X is None else X.transpose()
 
 
 def solve_right(A: Matrix, B: Matrix) -> Optional[Matrix]:

@@ -13,6 +13,7 @@ from abcosp.brown import (
     iota_cospanical,
     iota_spanical,
     spanical_extend,
+    suspended_morphism,
     verify_extension_dagger,
     verify_extension_functoriality,
     verify_extension_monoidal,
@@ -21,13 +22,16 @@ from abcosp.brown import (
 from abcosp.cospan import canonical_cosp, compose_cosp, dagger_cosp, iota_cosp
 from abcosp.cw import (
     SpaceCospan,
+    chain_map_of,
     closure_and_validate,
     constant_map,
     dagger_space,
     identity_simplicial_map,
+    induced_on_homology,
     iota_space,
     make_simplicial_map,
     point_complex,
+    suspension_shift_map,
     wedge,
 )
 from abcosp.exactlin import GF2, GF3, QQ, matrix_to_rows
@@ -178,6 +182,24 @@ class TestIotaCompatibility:
                         spanical_extend(E, iota_space(m)).cls
                         == iota_spanical(E, m)
                     )
+
+
+class TestSuspendedMorphism:
+    def test_matches_shifted_chain_map(self, rng):
+        # reading one degree down equals homology of the suspended chain map
+        maps = list(TestIotaCompatibility().maps())
+        for _ in range(6):
+            lam = rand_space_cospan(rng, 5)
+            maps += [lam.f0, lam.f1]
+        for f in FIELDS:
+            for q in (1, 2, 3):
+                E = BrownFunctor(f, q)
+                for m in maps:
+                    shifted = induced_on_homology(
+                        suspension_shift_map(chain_map_of(m, f)), q
+                    )
+                    got = suspended_morphism(E, m)
+                    assert got == shifted and repr(got) == repr(shifted)
 
 
 def assert_passed(report, check):

@@ -464,6 +464,27 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "abcosp: internal defect: decision and witness disagree\n"
 
+    @pytest.mark.parametrize(
+        "command, q", [("homology", "-1"), ("homology", "-5"), ("mv-check", "-5")]
+    )
+    def test_negative_degree_exits_two(self, doc_path, capsys, command, q):
+        assert cli.main([command, "--in", doc_path, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "abcosp: homology degree must be nonnegative\n"
+
+    def test_class_and_witness_disagreement_exits_three(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # d has the smaller bulk but another joint kernel, so no witness exists
+        monkeypatch.setattr("abcosp.cospan.canonical_cosp", lambda c: None)
+        doc = dict(BASE_DOC, inputs={"left": "d", "right": "c"})
+        assert cli.main(["leq", "--in", write_doc(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("abcosp: internal defect: ")
+        assert captured.err.count("\n") == 1
+
     def test_console_script(self, doc_path):
         out = subprocess.run(
             [sys.executable, "-m", "abcosp.cli", "homology", "--in", doc_path, "--q", "1"],

@@ -330,6 +330,32 @@ class TestBounds:
         assert upper_bound(cosp(GF2, [[1]], [[1]]), cosp(GF2, [[1]], [[0]])) is None
         assert lower_bound(cosp(GF2, [[1]], [[1]]), cosp(GF2, [[1]], [[0]])) is None
 
+    def test_different_classes_build_no_pushout(self, monkeypatch):
+        def no_pushout(*_args):
+            raise AssertionError("pushout built for a pair without a bound")
+
+        monkeypatch.setattr("abcosp.cospan.pushout", no_pushout)
+        rng = seeded(7)
+        pairs = [(cosp(GF2, [[1]], [[1]]), cosp(GF2, [[1]], [[0]]))]
+        for field in FIELDS:
+            for _ in range(10):
+                c = rand_cospan(rng, field, 2, 1, 2)
+                d = rand_cospan(rng, field, 2, 1, 2)
+                if not equiv_cosp(c, d):
+                    pairs.append((c, d))
+        for c, d in pairs:
+            assert upper_bound(c, d) is None
+            assert lower_bound(c, d) is None
+
+    def test_non_mono_comparison_map_is_internal_defect(self, monkeypatch):
+        # classes reported equal for a pair whose joint kernels differ
+        monkeypatch.setattr("abcosp.cospan.canonical_cosp", lambda c: None)
+        c, d = cosp(GF2, [[1]], [[1]]), cosp(GF2, [[1]], [[0]])
+        with pytest.raises(AssertionError, match="internal defect"):
+            upper_bound(c, d)
+        with pytest.raises(AssertionError, match="internal defect"):
+            lower_bound(c, d)
+
     def test_lower_bound_is_minimal_rep_sized(self):
         lam, lamp = pair_gf2()
         w = lower_bound(lam, lamp)

@@ -145,6 +145,14 @@ def test_mono_witness_on_cospan_pairs(field, seed):
     assert _mono_witness(v, vp) == reference_mono_witness(v, vp)
 
 
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.integers(0, 4), st.data())
+def test_mono_witness_exists_exactly_when_reference_does(field, b, bp, data):
+    # unrelated matrices: every way a witness can fail to exist comes up
+    both = data.draw(matrix_over(field, b + bp, 4))
+    v, vp = both.take_rows(range(b)), both.take_rows(range(b, b + bp))
+    assert _mono_witness(v, vp) == reference_mono_witness(v, vp)
+
+
 @given(st.sampled_from(FIELDS), st.integers(0, 10 ** 6))
 def test_homology_representatives_match_greedy_loop(field, seed):
     C = cw.augmented_chain(rand_complex(random.Random(seed), 6), field)

@@ -162,6 +162,20 @@ class TestSubspaces:
         )
 
 
+def reference_solve_left(V: Matrix, W: Matrix):
+    """``G @ V == W`` solved on ``rref([V.T | W.T])`` by an explicit loop."""
+    aug = rref(hstack(V.transpose(), W.transpose()))
+    b = V.rows
+    if any(pc >= b for pc in aug.pivots):
+        return None
+    gt = [[V.field.zero()] * W.rows for _ in range(b)]
+    for i, pc in enumerate(aug.pivots):
+        for j in range(W.rows):
+            gt[pc][j] = aug.R.entries[i][b + j]
+    data = tuple(tuple(gt[i][j] for i in range(b)) for j in range(W.rows))
+    return Matrix(V.field, W.rows, b, data)
+
+
 class TestSolvers:
     def test_solve_left_identity(self):
         I = Matrix.identity(GF2, 2)
@@ -186,6 +200,19 @@ class TestSolvers:
             # obstruction is real: some kernel vector of v escapes ker w
             kv = kernel_basis(v)
             assert w @ kv != Matrix.zeros(w.field, w.rows, kv.cols)
+
+    @given(small_matrix(max_dim=6), st.integers(0, 6))
+    def test_solve_left_matches_reference(self, both, split):
+        # unrelated V and W with one column count, cut from one matrix
+        k = min(split, both.rows)
+        V, W = both.take_rows(range(k)), both.take_rows(range(k, both.rows))
+        assert solve_left(V, W) == reference_solve_left(V, W)
+
+    def test_solve_left_checks_shape_and_field(self):
+        with pytest.raises(ShapeError, match="solve_left"):
+            solve_left(M(GF2, [[1, 0]]), M(GF2, [[1]]))
+        with pytest.raises(FieldMismatch):
+            solve_left(M(GF2, [[1]]), M(GF3, [[1]]))
 
     @given(small_matrix(), small_matrix())
     def test_solve_right_soundness(self, a, b):
