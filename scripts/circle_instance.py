@@ -12,14 +12,12 @@ from abcosp.brown import (
     BrownFunctor,
     chain_homology_cospan,
     class_payload,
-    composite_chain_cospan,
     verify_extension_dagger,
     verify_extension_functoriality,
     verify_transposition_compatibility,
 )
-from abcosp.cospan import canonical_cosp
+from abcosp.cospan import Cospan, canonical_cosp
 from abcosp.cw import (
-    SpaceCospan,
     augmented_chain,
     closure_and_validate,
     homology_dims,
@@ -39,7 +37,7 @@ def main():
     s0 = closure_and_validate(2, [[0], [1]])
     arc = closure_and_validate(2, [[0, 1]])
     endpoints = make_simplicial_map(s0, arc, (0, 1))
-    lam = SpaceCospan(endpoints, endpoints)
+    lam = Cospan(endpoints, endpoints)
 
     print("arc cospan: S0 -> arc <- S0, both legs the endpoint inclusion")
     for f in FIELDS:
@@ -53,7 +51,7 @@ def main():
         for f in FIELDS:
             E = BrownFunctor(f, q)
             cls = canonical_cosp(
-                chain_homology_cospan(E, composite_chain_cospan(E, lam, lam))
+                chain_homology_cospan(E, space_compose_chain_model(lam, lam, f))
             )
             payload = json.dumps(class_payload(cls), sort_keys=True)
             print(f"  q={q} {field_name(f):>5}: {payload}")

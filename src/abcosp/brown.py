@@ -33,18 +33,13 @@ from .cospan import (
     transpose_cosp,
 )
 from .cw import (
-    ChainCospan,
-    ChainSpan,
     SimplicialComplex,
     SimplicialMap,
-    SpaceCospan,
     augmented_chain,
-    chain_cospan_of,
     chain_map_of,
-    compose_chain_cospans,
-    dagger_space,
     homology,
     induced_on_homology,
+    space_compose_chain_model,
     t_sigma_chain,
     t_sigma_of_chain,
     wedge_space_cospans,
@@ -76,19 +71,18 @@ def brown_morphism(E: BrownFunctor, f: SimplicialMap) -> LinMap:
     return induced_on_homology(chain_map_of(f, E.field), E.q)
 
 
-def homology_cospan(E: BrownFunctor, c: SpaceCospan) -> Cospan:
-    """The induced cospan on homology, legs into the middle complex."""
+def homology_cospan(E: BrownFunctor, c: Cospan) -> Cospan:
+    """The induced cospan on homology of a space cospan, legs into the
+    homology of its bulk."""
     return Cospan(brown_morphism(E, c.f0), brown_morphism(E, c.f1))
 
 
-def chain_homology_cospan(E: BrownFunctor, c: ChainCospan) -> Cospan:
-    return Cospan(
-        induced_on_homology(c.leg0, E.q), induced_on_homology(c.leg1, E.q)
-    )
+def chain_homology_cospan(E: BrownFunctor, c: Cospan) -> Cospan:
+    return Cospan(induced_on_homology(c.f0, E.q), induced_on_homology(c.f1, E.q))
 
 
-def chain_homology_span(E: BrownFunctor, s: ChainSpan) -> Span:
-    return Span(induced_on_homology(s.p0, E.q), induced_on_homology(s.p1, E.q))
+def chain_homology_span(E: BrownFunctor, s: Span) -> Span:
+    return Span(induced_on_homology(s.g0, E.q), induced_on_homology(s.g1, E.q))
 
 
 def suspended_morphism(E: BrownFunctor, f: SimplicialMap) -> LinMap:
@@ -101,7 +95,7 @@ def suspended_morphism(E: BrownFunctor, f: SimplicialMap) -> LinMap:
     return induced_on_homology(chain_map_of(f, E.field), E.q - 1)
 
 
-def suspended_homology_cospan(E: BrownFunctor, c: SpaceCospan) -> Cospan:
+def suspended_homology_cospan(E: BrownFunctor, c: Cospan) -> Cospan:
     return Cospan(suspended_morphism(E, c.f0), suspended_morphism(E, c.f1))
 
 
@@ -118,7 +112,7 @@ class ExtendedMorphism:
     feet: Tuple[VecObj, VecObj]
     cls: CanonicalClass
     kind: str
-    provenance: SpaceCospan
+    provenance: Cospan
 
     def __post_init__(self) -> None:
         if self.kind not in ("cospan", "span"):
@@ -127,13 +121,13 @@ class ExtendedMorphism:
             raise ValueError("feet must match the canonical class feet")
 
 
-def cospanical_extend(E: BrownFunctor, c: SpaceCospan) -> ExtendedMorphism:
+def cospanical_extend(E: BrownFunctor, c: Cospan) -> ExtendedMorphism:
     """Canonical class of the induced homology cospan."""
     cls = canonical_cosp(homology_cospan(E, c))
     return ExtendedMorphism((cls.A0, cls.A1), cls, "cospan", c)
 
 
-def spanical_extend(E: BrownFunctor, c: SpaceCospan) -> ExtendedMorphism:
+def spanical_extend(E: BrownFunctor, c: Cospan) -> ExtendedMorphism:
     """Canonical class of the span induced by the turned-around cospan.
 
     The feet are homology of the suspended ends one degree up, so the
@@ -144,14 +138,6 @@ def spanical_extend(E: BrownFunctor, c: SpaceCospan) -> ExtendedMorphism:
         raise DegreeTooLow("spanical extension needs q >= 1")
     cls = canonical_span(chain_homology_span(E, t_sigma_chain(c, E.field)))
     return ExtendedMorphism((cls.A0, cls.A1), cls, "span", c)
-
-
-def composite_chain_cospan(
-    E: BrownFunctor, c: SpaceCospan, d: SpaceCospan
-) -> ChainCospan:
-    return compose_chain_cospans(
-        chain_cospan_of(c, E.field), chain_cospan_of(d, E.field)
-    )
 
 
 def iota_cospanical(E: BrownFunctor, f: SimplicialMap) -> CanonicalClass:
@@ -190,7 +176,7 @@ def _report(E: BrownFunctor, check: str, failures: list) -> dict:
 
 
 def verify_extension_functoriality(
-    E: BrownFunctor, c: SpaceCospan, d: SpaceCospan
+    E: BrownFunctor, c: Cospan, d: Cospan
 ) -> dict:
     """Composite of images against image of the composite, both flavors.
 
@@ -203,7 +189,7 @@ def verify_extension_functoriality(
     failures = []
     a, b = homology_cospan(E, c), homology_cospan(E, d)
     lhs = compose_cosp(a, b)
-    cc = composite_chain_cospan(E, c, d)
+    cc = space_compose_chain_model(c, d, E.field)
     rhs = chain_homology_cospan(E, cc)
     left, right = canonical_cosp(lhs), canonical_cosp(rhs)
     if leq_cosp(lhs, rhs) is None:
@@ -223,10 +209,10 @@ def verify_extension_functoriality(
     return _report(E, "functoriality", failures)
 
 
-def verify_extension_dagger(E: BrownFunctor, c: SpaceCospan) -> dict:
+def verify_extension_dagger(E: BrownFunctor, c: Cospan) -> dict:
     """Extending the flipped cospan against flipping the extended one."""
     failures = []
-    left = cospanical_extend(E, dagger_space(c)).cls
+    left = cospanical_extend(E, dagger_cosp(c)).cls
     right = canonical_cosp(dagger_cosp(homology_cospan(E, c)))
     if left != right:
         failures.append(_mismatch("dagger_class_equality", left, right))
@@ -234,7 +220,7 @@ def verify_extension_dagger(E: BrownFunctor, c: SpaceCospan) -> dict:
 
 
 def verify_extension_monoidal(
-    E: BrownFunctor, c: SpaceCospan, d: SpaceCospan
+    E: BrownFunctor, c: Cospan, d: Cospan
 ) -> dict:
     """Extension of a wedge against the sum of extensions.
 
@@ -276,7 +262,7 @@ def verify_extension_monoidal(
     return _report(E, "monoidal", failures)
 
 
-def verify_transposition_compatibility(E: BrownFunctor, c: SpaceCospan) -> dict:
+def verify_transposition_compatibility(E: BrownFunctor, c: Cospan) -> dict:
     """Turning around after suspending against the spanical extension."""
     failures = []
     if E.q < 1:

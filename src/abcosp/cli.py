@@ -15,11 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import re
 import sys
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
@@ -81,7 +79,7 @@ class Document:
     spans: Dict[str, cospan.Span] = dc_field(default_factory=dict)
     complexes: Dict[str, cw.SimplicialComplex] = dc_field(default_factory=dict)
     maps: Dict[str, cw.SimplicialMap] = dc_field(default_factory=dict)
-    space_cospans: Dict[str, cw.SpaceCospan] = dc_field(default_factory=dict)
+    space_cospans: Dict[str, cospan.Cospan] = dc_field(default_factory=dict)
 
     @property
     def inputs(self) -> dict:
@@ -280,7 +278,7 @@ def parse_document(raw: bytes) -> Document:
             doc.maps[name] = cw.make_simplicial_map(src, dst, vertices)
         except Exception as e:
             raise ValidationError(f"{where}: {e}") from e
-    _parse_pairs(doc, "space_cospans", doc.maps, "map", cw.SpaceCospan)
+    _parse_pairs(doc, "space_cospans", doc.maps, "map", cospan.Cospan)
     return doc
 
 
@@ -630,8 +628,9 @@ def _suite_instance(
         return {"check": "leq_monotone", "char": f.characteristic}
     _bump(counts, "exact_square")
     sq = generators.rand_commuting_square(rng, f, max_feet)
-    if abcat.is_exact_square(sq) != abcat.is_exact_at_middle(abcat.square_complex(sq)):
-        return {"check": "exact_square", "char": f.characteristic}
+    # Checks its two exactness criteria against each other; a disagreement
+    # raises an internal defect.
+    abcat.is_exact_square(sq)
     _bump(counts, "mv")
     T, K0, K1, L = generators.rand_triad(rng, min(max_vertices, 6))
     for q in range(3):
@@ -688,10 +687,8 @@ COMMANDS = tuple(_RUNNERS)
 def run(command: str, doc: Document, flags: dict) -> dict:
     if command not in _RUNNERS:
         raise UnknownCommand(command)
-    start = time.monotonic()
     outcome, value, ce = _RUNNERS[command](doc, flags)
-    elapsed = int((time.monotonic() - start) * 1000)
-    report = {
+    return {
         "version": SCHEMA_VERSION,
         "command": command,
         "flags": {k: _flag_token(v) for k, v in flags.items() if v is not None},
@@ -699,9 +696,8 @@ def run(command: str, doc: Document, flags: dict) -> dict:
         "outcome": outcome,
         "value": value,
         "counterexample": ce,
-        "timing_ms": elapsed if os.environ.get("ABCOSP_TIMING") == "1" else 0,
+        "timing_ms": 0,
     }
-    return report
 
 
 def _flag_token(v):

@@ -1,13 +1,15 @@
-"""Cospans and spans of linear maps, their preorder, equivalence and
+"""Cospans and spans, and for linear maps their preorder, equivalence and
 transposition.
 
 A cospan is a pair of maps into a shared bulk, a span a pair of maps out of a
-shared bulk. Two cospans with the same feet are compared through the kernel
-of the joint map ``[f0 | f1]``: the preorder holds exactly when the kernels
-agree and the left bulk is no larger, and equivalence holds exactly when the
-kernels agree. Both facts are validated against brute-force witness searches
-in the test suite before being relied on. The span side mirrors everything
-with images instead of kernels.
+shared bulk. The two pair types hold any arrows with a ``src`` and a ``dst``
+(linear maps here, chain maps and simplicial maps in ``cw``); the operations
+below take linear legs. Two cospans with the same feet are compared through
+the kernel of the joint map ``[f0 | f1]``: the preorder holds exactly when the
+kernels agree and the left bulk is no larger, and equivalence holds exactly
+when the kernels agree. Both facts are validated against brute-force witness
+searches in the test suite before being relied on. The span side mirrors
+everything with images instead of kernels.
 
 Transposition swaps the two pictures: the span attached to a cospan lives on
 the kernel of the joint map, the cospan attached to a span on the cokernel.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Any, Optional
 
 from .abcat import (
     CompositionMismatch,
@@ -52,49 +54,51 @@ class FootMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Cospan:
-    """A pair of maps ``f0: A0 -> B`` and ``f1: A1 -> B`` into one bulk."""
+    """A pair of arrows ``f0: A0 -> B`` and ``f1: A1 -> B`` into one bulk:
+    linear maps, chain maps or simplicial maps."""
 
-    f0: LinMap
-    f1: LinMap
+    f0: Any
+    f1: Any
 
     def __post_init__(self) -> None:
         if self.f0.dst != self.f1.dst:
             raise FootMismatch("cospan legs must share their target")
 
     @property
-    def foot0(self) -> VecObj:
+    def foot0(self):
         return self.f0.src
 
     @property
-    def foot1(self) -> VecObj:
+    def foot1(self):
         return self.f1.src
 
     @property
-    def bulk(self) -> VecObj:
+    def bulk(self):
         return self.f0.dst
 
 
 @dataclass(frozen=True)
 class Span:
-    """A pair of maps ``g0: C -> A0`` and ``g1: C -> A1`` out of one bulk."""
+    """A pair of arrows ``g0: C -> A0`` and ``g1: C -> A1`` out of one bulk:
+    linear maps or chain maps."""
 
-    g0: LinMap
-    g1: LinMap
+    g0: Any
+    g1: Any
 
     def __post_init__(self) -> None:
         if self.g0.src != self.g1.src:
             raise FootMismatch("span legs must share their source")
 
     @property
-    def foot0(self) -> VecObj:
+    def foot0(self):
         return self.g0.dst
 
     @property
-    def foot1(self) -> VecObj:
+    def foot1(self):
         return self.g1.dst
 
     @property
-    def bulk(self) -> VecObj:
+    def bulk(self):
         return self.g0.src
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .abcat import LinMap, ThreeTermComplex, VecObj, is_exact_at_middle
-from .cospan import FootMismatch
+from .cospan import Cospan, FootMismatch, Span
 from .exactlin import (
     Field,
     Matrix,
@@ -186,14 +186,6 @@ def constant_map(src: SimplicialComplex, dst: SimplicialComplex) -> SimplicialMa
     return make_simplicial_map(src, dst, (0,) * src.n_vertices)
 
 
-def compose_simplicial(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    if f.dst != g.src:
-        raise InvalidMap("simplicial maps do not compose")
-    return make_simplicial_map(
-        f.src, g.dst, tuple(g.vertex_map[w] for w in f.vertex_map)
-    )
-
-
 def inclusion_map(sub: SimplicialComplex, sup: SimplicialComplex) -> SimplicialMap:
     """The inclusion of a subcomplex under one shared vertex numbering."""
     if sub.n_vertices != sup.n_vertices:
@@ -307,21 +299,6 @@ def make_chain_map(
         if left != right:
             raise ValueError(f"chain map fails to commute at degree {q}")
     return cm
-
-
-def chain_identity(C: ChainComplex) -> ChainMap:
-    return make_chain_map(
-        C, C, {q: Matrix.identity(C.field, d) for q, d in C.dims}
-    )
-
-
-def chain_compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.dst != g.src:
-        raise ValueError("chain maps do not compose")
-    degs = set(q for q, _ in f.comps) | set(q for q, _ in g.comps)
-    return make_chain_map(
-        f.src, g.dst, {q: g.comp_mat(q) @ f.comp_mat(q) for q in degs}
-    )
 
 
 def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
@@ -480,23 +457,6 @@ def suspension_shift(C: ChainComplex) -> ChainComplex:
     )
 
 
-def suspension_shift_map(f: ChainMap) -> ChainMap:
-    """The same components one degree higher, between shifted complexes."""
-    return make_chain_map(
-        suspension_shift(f.src),
-        suspension_shift(f.dst),
-        {q + 1: m for q, m in f.comps},
-    )
-
-
-def conjugate_sign(C: ChainComplex) -> ChainMap:
-    """Negation of the identity; the chain shadow of reversing the
-    suspension coordinate. An involution, and invisible over GF(2)."""
-    return make_chain_map(
-        C, C, {q: -Matrix.identity(C.field, d) for q, d in C.dims}
-    )
-
-
 def _cone_block(phi: ChainMap, q: int) -> Matrix:
     dst, src = phi.dst, phi.src
     field = src.field
@@ -539,51 +499,21 @@ def mapping_cone(phi: ChainMap) -> Tuple[ChainComplex, ChainMap, ChainMap]:
     )
 
 
-@dataclass(frozen=True)
-class SpaceCospan:
-    """Two pointed simplicial maps into one shared target complex."""
-
-    f0: SimplicialMap
-    f1: SimplicialMap
-
-    def __post_init__(self) -> None:
-        if self.f0.dst != self.f1.dst:
-            raise FootMismatch("space cospan legs must share their target")
-
-    @property
-    def k0(self) -> SimplicialComplex:
-        return self.f0.src
-
-    @property
-    def k1(self) -> SimplicialComplex:
-        return self.f1.src
-
-    @property
-    def middle(self) -> SimplicialComplex:
-        return self.f0.dst
+def iota_space(f: SimplicialMap) -> Cospan:
+    return Cospan(f, identity_simplicial_map(f.dst))
 
 
-def iota_space(f: SimplicialMap) -> SpaceCospan:
-    return SpaceCospan(f, identity_simplicial_map(f.dst))
-
-
-def dagger_space(c: SpaceCospan) -> SpaceCospan:
-    return SpaceCospan(c.f1, c.f0)
-
-
-def wedge_space_cospans(
-    c: SpaceCospan, d: SpaceCospan
-) -> Tuple[SpaceCospan, Wedge, Wedge, Wedge]:
+def wedge_space_cospans(c: Cospan, d: Cospan) -> Tuple[Cospan, Wedge, Wedge, Wedge]:
     """The wedge of two space cospans, legwise.
 
     Returns the wedge cospan together with the three wedges (left feet,
-    right feet, middles) so callers can reach the block identifications.
+    right feet, bulks) so callers can reach the block identifications.
     """
-    w0 = wedge(c.k0, d.k0)
-    w1 = wedge(c.k1, d.k1)
-    wl = wedge(c.middle, d.middle)
+    w0 = wedge(c.foot0, d.foot0)
+    w1 = wedge(c.foot1, d.foot1)
+    wl = wedge(c.bulk, d.bulk)
     return (
-        SpaceCospan(
+        Cospan(
             wedge_map(w0, wl, c.f0, d.f0), wedge_map(w1, wl, c.f1, d.f1)
         ),
         w0,
@@ -592,109 +522,75 @@ def wedge_space_cospans(
     )
 
 
-@dataclass(frozen=True)
-class ChainCospan:
-    """Two chain maps into one shared bulk complex."""
-
-    leg0: ChainMap
-    leg1: ChainMap
-
-    def __post_init__(self) -> None:
-        if self.leg0.dst != self.leg1.dst:
-            raise FootMismatch("chain cospan legs must share their target")
-
-    @property
-    def bulk(self) -> ChainComplex:
-        return self.leg0.dst
-
-
-@dataclass(frozen=True)
-class ChainSpan:
-    """Two chain maps out of one shared source complex."""
-
-    p0: ChainMap
-    p1: ChainMap
-
-    def __post_init__(self) -> None:
-        if self.p0.src != self.p1.src:
-            raise FootMismatch("chain span legs must share their source")
-
-    @property
-    def mid(self) -> ChainComplex:
-        return self.p0.src
-
-
 @lru_cache(maxsize=None)
-def chain_cospan_of(c: SpaceCospan, field: Field) -> ChainCospan:
-    return ChainCospan(chain_map_of(c.f0, field), chain_map_of(c.f1, field))
+def chain_cospan_of(c: Cospan, field: Field) -> Cospan:
+    """The cospan of chain maps a space cospan induces."""
+    return Cospan(chain_map_of(c.f0, field), chain_map_of(c.f1, field))
 
 
-def compose_chain_cospans(c: ChainCospan, d: ChainCospan) -> ChainCospan:
+def compose_chain_cospans(c: Cospan, d: Cospan) -> Cospan:
     """Glue two chain cospans along their shared foot F.
 
     The bulk is the cone of psi = (right leg of c, minus left leg of d) from
     F into the sum of the two bulks; it computes the homology of the double
     mapping cylinder. Degree q of the cone is ``Bc_q + Bd_q + F_{q-1}``, so
-    the outer legs are block columns: ``[c.leg0_q; 0; 0]`` and
-    ``[0; d.leg1_q; 0]``.
+    the outer legs are block columns: ``[c.f0_q; 0; 0]`` and
+    ``[0; d.f1_q; 0]``.
     """
-    if c.leg1.src != d.leg0.src:
+    if c.foot1 != d.foot0:
         raise FootMismatch("chain cospans do not share their middle foot")
-    F, Bc, Bd = c.leg1.src, c.bulk, d.bulk
-    degs = {q for q, _ in c.leg1.comps + d.leg0.comps}
-    stacked = {q: vstack(c.leg1.comp_mat(q), -d.leg0.comp_mat(q)) for q in degs}
+    F, Bc, Bd = c.foot1, c.bulk, d.bulk
+    degs = {q for q, _ in c.f1.comps + d.f0.comps}
+    stacked = {q: vstack(c.f1.comp_mat(q), -d.f0.comp_mat(q)) for q in degs}
     psi = make_chain_map(F, chain_direct_sum(Bc, Bd), stacked)
     cone = _cone_complex(psi)
-    leg0 = {q: _pad_rows(m, 0, Bd.dim(q) + F.dim(q - 1)) for q, m in c.leg0.comps}
-    leg1 = {q: _pad_rows(m, Bc.dim(q), F.dim(q - 1)) for q, m in d.leg1.comps}
-    return ChainCospan(
-        make_chain_map(c.leg0.src, cone, leg0),
-        make_chain_map(d.leg1.src, cone, leg1),
+    f0 = {q: _pad_rows(m, 0, Bd.dim(q) + F.dim(q - 1)) for q, m in c.f0.comps}
+    f1 = {q: _pad_rows(m, Bc.dim(q), F.dim(q - 1)) for q, m in d.f1.comps}
+    return Cospan(
+        make_chain_map(c.foot0, cone, f0),
+        make_chain_map(d.foot1, cone, f1),
     )
 
 
-def space_compose_chain_model(
-    c: SpaceCospan, d: SpaceCospan, field: Field
-) -> ChainCospan:
-    """Chain model of the composite of two space cospans."""
-    if c.f1.src != d.f0.src:
-        raise FootMismatch("space cospans do not share their middle foot")
+def space_compose_chain_model(c: Cospan, d: Cospan, field: Field) -> Cospan:
+    """Chain model of the composite of two space cospans: their chain
+    cospans glued along the chain complex of the shared foot."""
     return compose_chain_cospans(
         chain_cospan_of(c, field), chain_cospan_of(d, field)
     )
 
 
 @lru_cache(maxsize=None)
-def t_sigma_of_chain(c: ChainCospan) -> ChainSpan:
+def t_sigma_of_chain(c: Cospan) -> Span:
     """Turn a chain cospan around into a span between shifted feet.
 
-    The middle is the cone of phi = [leg0 | leg1] out of the foot sum
-    ``A0 + A1`` into the bulk B, so degree q+1 of the cone is
+    The span's bulk is the cone of phi = [f0 | f1] out of the foot sum
+    ``A0 + A1`` into the cospan's bulk B, so degree q+1 of the cone is
     ``B_{q+1} + A0_q + A1_q``. The span legs go to the shifted feet and are
     block rows: ``-[0 | I | 0]`` to A0, with the suspension-coordinate sign,
     and ``[0 | 0 | I]`` to A1.
     """
-    A0, A1, B = c.leg0.src, c.leg1.src, c.bulk
+    A0, A1, B = c.foot0, c.foot1, c.bulk
     field = B.field
-    degs = {q for q, _ in c.leg0.comps + c.leg1.comps}
-    joined = {q: hstack(c.leg0.comp_mat(q), c.leg1.comp_mat(q)) for q in degs}
+    degs = {q for q, _ in c.f0.comps + c.f1.comps}
+    joined = {q: hstack(c.f0.comp_mat(q), c.f1.comp_mat(q)) for q in degs}
     phi = make_chain_map(chain_direct_sum(A0, A1), B, joined)
     cone = _cone_complex(phi)
-    p0 = {
+    g0 = {
         q + 1: -_block_projection(field, B.dim(q + 1), n, A1.dim(q))
         for q, n in A0.dims
     }
-    p1 = {
+    g1 = {
         q + 1: _block_projection(field, B.dim(q + 1) + A0.dim(q), n, 0)
         for q, n in A1.dims
     }
-    return ChainSpan(
-        make_chain_map(cone, suspension_shift(A0), p0),
-        make_chain_map(cone, suspension_shift(A1), p1),
+    return Span(
+        make_chain_map(cone, suspension_shift(A0), g0),
+        make_chain_map(cone, suspension_shift(A1), g1),
     )
 
 
-def t_sigma_chain(c: SpaceCospan, field: Field) -> ChainSpan:
+def t_sigma_chain(c: Cospan, field: Field) -> Span:
     return t_sigma_of_chain(chain_cospan_of(c, field))
 
 
@@ -788,12 +684,12 @@ def mv_exactness_check(
     return is_exact_at_middle(ThreeTermComplex(u, v))
 
 
-def dimension_filter(c: SpaceCospan, d) -> bool:
-    """Whether feet dimensions stay below ``d`` and the middle stays at
-    most ``d``. Infinity accepts everything."""
+def dimension_filter(c: Cospan, d) -> bool:
+    """Whether the feet of a space cospan stay below dimension ``d`` and its
+    bulk stays at most ``d``. Infinity accepts everything."""
     if d == float("inf"):
         return True
-    return c.k0.dim <= d - 1 and c.k1.dim <= d - 1 and c.middle.dim <= d
+    return c.foot0.dim <= d - 1 and c.foot1.dim <= d - 1 and c.bulk.dim <= d
 
 
 def simplicial_cone(K: SimplicialComplex) -> SimplicialComplex:

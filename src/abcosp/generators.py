@@ -18,7 +18,6 @@ from .cospan import Cospan, Span
 from .cw import (
     SimplicialComplex,
     SimplicialMap,
-    SpaceCospan,
     closure_and_validate,
     constant_map,
     make_simplicial_map,
@@ -349,27 +348,27 @@ def rand_simplicial_map(
     return constant_map(src, dst)
 
 
-def rand_space_cospan(rng: random.Random, max_vertices: int) -> SpaceCospan:
+def rand_space_cospan(rng: random.Random, max_vertices: int) -> Cospan:
     L = rand_complex(rng, max_vertices)
     k0 = rand_complex(rng, max_vertices)
     k1 = rand_complex(rng, max_vertices)
-    return SpaceCospan(
+    return Cospan(
         rand_simplicial_map(rng, k0, L), rand_simplicial_map(rng, k1, L)
     )
 
 
 def rand_composable_space_cospans(
     rng: random.Random, max_vertices: int
-) -> Tuple[SpaceCospan, SpaceCospan]:
+) -> Tuple[Cospan, Cospan]:
     shared = rand_complex(rng, max_vertices)
     left = rand_complex(rng, max_vertices)
     right = rand_complex(rng, max_vertices)
     La = rand_complex(rng, max_vertices)
     Lb = rand_complex(rng, max_vertices)
-    c = SpaceCospan(
+    c = Cospan(
         rand_simplicial_map(rng, left, La), rand_simplicial_map(rng, shared, La)
     )
-    d = SpaceCospan(
+    d = Cospan(
         rand_simplicial_map(rng, shared, Lb), rand_simplicial_map(rng, right, Lb)
     )
     return c, d

@@ -28,7 +28,6 @@ from abcosp.brown import (
     chain_homology_cospan,
     chain_homology_span,
     class_payload,
-    composite_chain_cospan,
     cospanical_extend,
     homology_cospan,
     iota_cospanical,
@@ -55,7 +54,6 @@ from abcosp.cospan import (
     upper_bound,
 )
 from abcosp.cw import (
-    SpaceCospan,
     augmented_chain,
     closure_and_validate,
     homology_dims,
@@ -63,6 +61,7 @@ from abcosp.cw import (
     make_simplicial_map,
     mv_exactness_check,
     simplicial_cone,
+    space_compose_chain_model,
     t_sigma_chain,
     t_sigma_of_chain,
 )
@@ -277,7 +276,7 @@ def test_acceptance_8_brown_extension():
         for q in (0, 1, 2):
             E = BrownFunctor(field, q)
             lhs = compose_cosp(homology_cospan(E, c), homology_cospan(E, d))
-            cc = composite_chain_cospan(E, c, d)
+            cc = space_compose_chain_model(c, d, field)
             rhs = chain_homology_cospan(E, cc)
             g = leq_cosp(lhs, rhs)
             assert g is not None, (i, q)
@@ -311,14 +310,14 @@ def test_acceptance_9_worked_instance():
     s0 = closure_and_validate(2, [[0], [1]])
     edge = closure_and_validate(2, [[0, 1]])
     f = make_simplicial_map(s0, edge, (0, 1))
-    arc = SpaceCospan(f, f)
+    arc = Cospan(f, f)
     for field in FIELDS:
         for q, frozen in ((0, frozen_q0), (1, frozen_q1)):
             E = BrownFunctor(field, q)
             runs = []
             for _ in range(2):
                 cls = canonical_cosp(
-                    chain_homology_cospan(E, composite_chain_cospan(E, arc, arc))
+                    chain_homology_cospan(E, space_compose_chain_model(arc, arc, field))
                 )
                 runs.append(
                     json.dumps(

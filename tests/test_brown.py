@@ -19,19 +19,18 @@ from abcosp.brown import (
     verify_extension_monoidal,
     verify_transposition_compatibility,
 )
-from abcosp.cospan import canonical_cosp, compose_cosp, dagger_cosp, iota_cosp
+from abcosp.cospan import Cospan, canonical_cosp, compose_cosp, dagger_cosp, iota_cosp
 from abcosp.cw import (
-    SpaceCospan,
     chain_map_of,
     closure_and_validate,
     constant_map,
-    dagger_space,
     identity_simplicial_map,
     induced_on_homology,
     iota_space,
+    make_chain_map,
     make_simplicial_map,
     point_complex,
-    suspension_shift_map,
+    suspension_shift,
     wedge,
 )
 from abcosp.exactlin import GF2, GF3, QQ, matrix_to_rows
@@ -55,11 +54,11 @@ def edge():
 def arc_cospan():
     # an arc seen as a cospan from its endpoint pair to itself
     f = make_simplicial_map(s0(), edge(), (0, 1))
-    return SpaceCospan(f, f)
+    return Cospan(f, f)
 
 
 def collapsed_cospan():
-    return SpaceCospan(
+    return Cospan(
         make_simplicial_map(s0(), edge(), (0, 1)),
         constant_map(point_complex(), edge()),
     )
@@ -195,9 +194,13 @@ class TestSuspendedMorphism:
             for q in (1, 2, 3):
                 E = BrownFunctor(f, q)
                 for m in maps:
-                    shifted = induced_on_homology(
-                        suspension_shift_map(chain_map_of(m, f)), q
+                    cm = chain_map_of(m, f)
+                    shifted_map = make_chain_map(
+                        suspension_shift(cm.src),
+                        suspension_shift(cm.dst),
+                        {d + 1: x for d, x in cm.comps},
                     )
+                    shifted = induced_on_homology(shifted_map, q)
                     got = suspended_morphism(E, m)
                     assert got == shifted and repr(got) == repr(shifted)
 
@@ -224,7 +227,7 @@ class TestVerifiers:
                 verify_extension_dagger(BrownFunctor(f, 0), lam), "dagger"
             )
             assert_passed(
-                verify_extension_dagger(BrownFunctor(f, 1), dagger_space(lam)),
+                verify_extension_dagger(BrownFunctor(f, 1), dagger_cosp(lam)),
                 "dagger",
             )
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcosp import cli
+from abcosp import abcat, cli
 
 BASE_DOC = {
     "version": "1",
@@ -83,7 +83,7 @@ class TestLoading:
         assert doc.cospans["c"].bulk.dim == 2
         assert doc.complexes["circle"].dim == 1
         assert doc.maps["incl"].dst == doc.complexes["circle"]
-        assert doc.space_cospans["lam"].middle == doc.complexes["circle"]
+        assert doc.space_cospans["lam"].bulk == doc.complexes["circle"]
 
     def test_round_trip_is_value_faithful(self, tmp_path, doc):
         data = cli.document_to_data(doc)
@@ -390,6 +390,11 @@ class TestMain:
             ("canon", {"cospans": {"c": [1]}}, "cospans.c: need an object"),
             ("canon", {"spans": {"s": None}}, "spans.s: need an object"),
             ("verify", {"space_cospans": {"lam": "idc"}}, "space_cospans.lam: need an object"),
+            ("verify",
+             {"maps": dict(BASE_DOC["maps"],
+                           e={"src": "s0", "dst": "arc01", "vertices": [0, 1]}),
+              "space_cospans": {"bad": {"f0": "incl", "f1": "e"}}},
+             "space_cospans.bad: cospan legs must share their target"),
         ],
     )
     def test_malformed_blocks_exit_two(self, tmp_path, capsys, command, block, prefix):
@@ -485,6 +490,17 @@ class TestMain:
         assert captured.err.startswith("abcosp: internal defect: ")
         assert captured.err.count("\n") == 1
 
+    def test_exact_square_disagreement_exits_three(self, tmp_path, capsys, monkeypatch):
+        # negating the middle criterion makes it disagree with the direct one
+        middle = abcat.is_exact_at_middle
+        monkeypatch.setattr(abcat, "is_exact_at_middle", lambda c: not middle(c))
+        doc = dict(BASE_DOC, suite={"count": 1})
+        assert cli.main(["random-suite", "--in", write_doc(tmp_path, doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("abcosp: internal defect: ")
+        assert captured.err.count("\n") == 1
+
     def test_console_script(self, doc_path):
         out = subprocess.run(
             [sys.executable, "-m", "abcosp.cli", "homology", "--in", doc_path, "--q", "1"],
@@ -509,6 +525,21 @@ def test_run_random_suite_script_honours_char(monkeypatch, capsys):
     assert script.main(["--char", "5", "--count", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["outcome"] == "pass"
     assert seen == [5, 5, 5]
+
+
+def test_circle_instance_script(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "circle_instance.py"
+    spec = importlib.util.spec_from_file_location("circle_instance", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    glued = [line for line in lines if "glued bulk homology" in line]
+    assert [line.split(":")[0].strip() for line in glued] == ["GF(2)", "GF(3)", "Q"]
+    assert all("glued bulk homology {1: 1} " in line for line in glued)
+    lemmas = lines[lines.index("lemma reports on the gluing pair:") + 1:]
+    assert len(lemmas) == 15
+    assert all(line.split()[-1] == "ok" for line in lemmas)
 
 
 # Fuzzing the document boundary: BASE_DOC plus an object-form matrix and a

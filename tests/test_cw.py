@@ -10,21 +10,14 @@ import pytest
 
 from abcosp.cw import (
     BadVertexIndex,
-    ChainCospan,
-    ChainSpan,
     InvalidMap,
     NotATriad,
-    SpaceCospan,
     augmented_chain,
-    chain_compose,
     chain_cospan_of,
     chain_direct_sum,
-    chain_identity,
     chain_map_of,
     closure_and_validate,
     compose_chain_cospans,
-    compose_simplicial,
-    conjugate_sign,
     constant_map,
     dimension_filter,
     homology,
@@ -43,12 +36,12 @@ from abcosp.cw import (
     space_compose_chain_model,
     subdivide_edge,
     suspension_shift,
-    suspension_shift_map,
     t_sigma_chain,
     t_sigma_of_chain,
     wedge,
     wedge_map,
 )
+from abcosp.cospan import Cospan, Span
 from abcosp.exactlin import GF2, GF3, QQ, Matrix, hstack, matrix_to_rows, rank, vstack
 from abcosp.generators import (
     rand_complex,
@@ -74,6 +67,50 @@ def edge():
 
 def sphere2():
     return closure_and_validate(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
+# Reference maps: composites, identities and shifts built from their
+# definitions, for checking the library's chain maps against.
+
+
+def compose_simplicial(g, f):
+    if f.dst != g.src:
+        raise InvalidMap("simplicial maps do not compose")
+    return make_simplicial_map(
+        f.src, g.dst, tuple(g.vertex_map[w] for w in f.vertex_map)
+    )
+
+
+def chain_identity(C):
+    return make_chain_map(
+        C, C, {q: Matrix.identity(C.field, d) for q, d in C.dims}
+    )
+
+
+def chain_compose(g, f):
+    if f.dst != g.src:
+        raise ValueError("chain maps do not compose")
+    degs = set(q for q, _ in f.comps) | set(q for q, _ in g.comps)
+    return make_chain_map(
+        f.src, g.dst, {q: g.comp_mat(q) @ f.comp_mat(q) for q in degs}
+    )
+
+
+def suspension_shift_map(f):
+    """The same components one degree higher, between shifted complexes."""
+    return make_chain_map(
+        suspension_shift(f.src),
+        suspension_shift(f.dst),
+        {q + 1: m for q, m in f.comps},
+    )
+
+
+def conjugate_sign(C):
+    """Negation of the identity; the chain shadow of reversing the
+    suspension coordinate."""
+    return make_chain_map(
+        C, C, {q: -Matrix.identity(C.field, d) for q, d in C.dims}
+    )
 
 
 class TestComplexes:
@@ -265,7 +302,7 @@ class TestMappingCone:
 
 
 def endpoints_cospan(field_unused=None):
-    return SpaceCospan(
+    return Cospan(
         make_simplicial_map(s0(), edge(), (0, 1)),
         make_simplicial_map(s0(), edge(), (0, 1)),
     )
@@ -280,13 +317,13 @@ class TestSpaceCompose:
 
     def test_gluing_along_point_is_wedge(self):
         pt = point_complex()
-        c = SpaceCospan(constant_map(pt, edge()), constant_map(pt, edge()))
+        c = Cospan(constant_map(pt, edge()), constant_map(pt, edge()))
         comp = space_compose_chain_model(c, c, QQ)
         assert homology_dims(comp.bulk) == {}
 
     def test_identity_units_preserve_homology(self):
         lam = endpoints_cospan()
-        L = lam.middle
+        L = lam.bulk
         for f in (GF2, QQ):
             left = space_compose_chain_model(iota_space(identity_simplicial_map(s0())), lam, f)
             right = space_compose_chain_model(lam, iota_space(identity_simplicial_map(s0())), f)
@@ -297,7 +334,7 @@ class TestSpaceCompose:
     def test_legs_land_in_bulk(self):
         lam = endpoints_cospan()
         comp = space_compose_chain_model(lam, lam, GF3)
-        assert comp.leg0.dst == comp.bulk and comp.leg1.dst == comp.bulk
+        assert comp.f0.dst == comp.bulk and comp.f1.dst == comp.bulk
 
 
 class TestTSigma:
@@ -305,32 +342,32 @@ class TestTSigma:
         lam = iota_space(identity_simplicial_map(s0()))
         for f in FIELDS:
             ts = t_sigma_chain(lam, f)
-            p0 = induced_on_homology(ts.p0, 1)
-            p1 = induced_on_homology(ts.p1, 1)
+            p0 = induced_on_homology(ts.g0, 1)
+            p1 = induced_on_homology(ts.g1, 1)
             assert p0.src.dim == p0.dst.dim == 1 and rank(p0.mat) == 1
             assert p1.src.dim == p1.dst.dim == 1 and rank(p1.mat) == 1
 
     def test_cone_point_side_vanishes(self):
-        lam = SpaceCospan(
+        lam = Cospan(
             make_simplicial_map(s0(), edge(), (0, 1)),
             constant_map(point_complex(), edge()),
         )
         ts = t_sigma_chain(lam, QQ)
-        assert homology_dims(ts.mid).get(1) == 1
-        p0 = induced_on_homology(ts.p0, 1)
-        p1 = induced_on_homology(ts.p1, 1)
+        assert homology_dims(ts.bulk).get(1) == 1
+        p0 = induced_on_homology(ts.g0, 1)
+        p1 = induced_on_homology(ts.g1, 1)
         assert p0.src.dim == 1 and p0.dst.dim == 1 and rank(p0.mat) == 1
         assert p1.dst.dim == 0
 
     def test_two_point_feet(self):
         pt = point_complex()
         L = circle()
-        lam = SpaceCospan(constant_map(pt, L), constant_map(pt, L))
+        lam = Cospan(constant_map(pt, L), constant_map(pt, L))
         ts = t_sigma_chain(lam, GF2)
-        assert homology_dims(ts.mid) == homology_dims(augmented_chain(L, GF2))
+        assert homology_dims(ts.bulk) == homology_dims(augmented_chain(L, GF2))
         for q in (1, 2):
-            assert induced_on_homology(ts.p0, q).dst.dim == 0
-            assert induced_on_homology(ts.p1, q).dst.dim == 0
+            assert induced_on_homology(ts.g0, q).dst.dim == 0
+            assert induced_on_homology(ts.g1, q).dst.dim == 0
 
 
 class TestHomologyMaps:
@@ -400,7 +437,7 @@ class TestMayerVietoris:
 
 class TestDimensionFilter:
     def test_worked_example(self):
-        lam = SpaceCospan(
+        lam = Cospan(
             make_simplicial_map(s0(), edge(), (0, 1)),
             constant_map(point_complex(), edge()),
         )
@@ -409,7 +446,7 @@ class TestDimensionFilter:
         assert dimension_filter(lam, float("inf"))
 
     def test_feet_must_stay_one_lower(self):
-        lam = SpaceCospan(
+        lam = Cospan(
             identity_simplicial_map(edge()),
             identity_simplicial_map(edge()),
         )
@@ -483,27 +520,27 @@ def _ref_sum_maps(C, D):
 
 def ref_compose_chain_cospans(c, d):
     S, i0, i1, _, _ = _ref_sum_maps(c.bulk, d.bulk)
-    neg = make_chain_map(d.leg0.src, d.leg0.dst, {q: -m for q, m in d.leg0.comps})
-    degs = {q for q, _ in c.leg1.comps + neg.comps}
+    neg = make_chain_map(d.f0.src, d.f0.dst, {q: -m for q, m in d.f0.comps})
+    degs = {q for q, _ in c.f1.comps + neg.comps}
     psi = make_chain_map(
-        c.leg1.src, S, {q: vstack(c.leg1.comp_mat(q), neg.comp_mat(q)) for q in degs}
+        c.f1.src, S, {q: vstack(c.f1.comp_mat(q), neg.comp_mat(q)) for q in degs}
     )
     _, incl, _ = mapping_cone(psi)
-    return ChainCospan(
-        chain_compose(incl, chain_compose(i0, c.leg0)),
-        chain_compose(incl, chain_compose(i1, d.leg1)),
+    return Cospan(
+        chain_compose(incl, chain_compose(i0, c.f0)),
+        chain_compose(incl, chain_compose(i1, d.f1)),
     )
 
 
 def ref_t_sigma_of_chain(c):
-    S, _, _, p0, p1 = _ref_sum_maps(c.leg0.src, c.leg1.src)
-    degs = {q for q, _ in c.leg0.comps + c.leg1.comps}
+    S, _, _, p0, p1 = _ref_sum_maps(c.f0.src, c.f1.src)
+    degs = {q for q, _ in c.f0.comps + c.f1.comps}
     phi = make_chain_map(
-        S, c.bulk, {q: hstack(c.leg0.comp_mat(q), c.leg1.comp_mat(q)) for q in degs}
+        S, c.bulk, {q: hstack(c.f0.comp_mat(q), c.f1.comp_mat(q)) for q in degs}
     )
     _, _, proj = mapping_cone(phi)
     pi0, pi1 = suspension_shift_map(p0), suspension_shift_map(p1)
-    return ChainSpan(
+    return Span(
         chain_compose(conjugate_sign(pi0.dst), chain_compose(pi0, proj)),
         chain_compose(pi1, proj),
     )
@@ -513,9 +550,9 @@ def _fixed_pairs():
     pt = point_complex()
     lam = endpoints_cospan()
     unit = iota_space(identity_simplicial_map(s0()))
-    tip = SpaceCospan(constant_map(pt, edge()), constant_map(pt, edge()))
+    tip = Cospan(constant_map(pt, edge()), constant_map(pt, edge()))
     ends = make_simplicial_map(s0(), edge(), (0, 1))
-    half = SpaceCospan(ends, constant_map(pt, edge()))
+    half = Cospan(ends, constant_map(pt, edge()))
     return [(lam, lam), (unit, lam), (lam, unit), (tip, tip), (half, tip)]
 
 
