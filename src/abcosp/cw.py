@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .abcat import LinMap, ThreeTermComplex, VecObj, is_exact_at_middle
 from .cospan import Cospan, FootMismatch, Span
@@ -26,6 +26,7 @@ from .exactlin import (
     Matrix,
     direct_sum,
     extend_columns,
+    hash_once,
     hstack,
     image_basis,
     kernel_basis,
@@ -195,6 +196,7 @@ def inclusion_map(sub: SimplicialComplex, sup: SimplicialComplex) -> SimplicialM
     return make_simplicial_map(sub, sup, tuple(range(sub.n_vertices)))
 
 
+@hash_once
 @dataclass(frozen=True)
 class ChainComplex:
     """Finitely supported chain complex with exact matrix differentials.
@@ -258,6 +260,7 @@ def make_chain_complex(
     )
 
 
+@hash_once
 @dataclass(frozen=True)
 class ChainMap:
     """A degreewise linear map of chain complexes commuting with d."""
@@ -292,13 +295,25 @@ def make_chain_map(
             )
         if m.rows and m.cols and not m.is_zero():
             kept[q] = m
-    cm = ChainMap(src, dst, tuple(sorted(kept.items())))
+    # d_q f_q == f_{q-1} d_q at every degree, from the stored blocks only:
+    # a side with an absent (zero) factor is zero and is not multiplied out
+    d_dst, d_src = dict(dst.diffs), dict(src.diffs)
     for q in sorted(set(src.degrees()) | set(dst.degrees())):
-        left = dst.diff_mat(q) @ cm.comp_mat(q)
-        right = cm.comp_mat(q - 1) @ src.diff_mat(q)
-        if left != right:
+        left = _product(d_dst.get(q), kept.get(q))
+        right = _product(kept.get(q - 1), d_src.get(q))
+        if left is None or right is None:
+            other = right if left is None else left
+            commutes = other is None or other.is_zero()
+        else:
+            commutes = left == right
+        if not commutes:
             raise ValueError(f"chain map fails to commute at degree {q}")
-    return cm
+    return ChainMap(src, dst, tuple(sorted(kept.items())))
+
+
+def _product(a: Optional[Matrix], b: Optional[Matrix]) -> Optional[Matrix]:
+    """``a @ b``, or None when either factor is absent."""
+    return None if a is None or b is None else a @ b
 
 
 def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:

@@ -18,9 +18,10 @@ objects are built once, for the stored output entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -108,6 +109,36 @@ GF2 = Field(2)
 GF3 = Field(3)
 
 
+def hash_once(cls):
+    """Give a frozen dataclass a ``__hash__`` that is computed once.
+
+    Apply it outside ``@dataclass(frozen=True)``, on a class of two or more
+    fields. The hash is the one the dataclass would compute, ``hash`` of the
+    tuple of fields. It is stored as the instance attribute ``_hash`` on
+    first use, out of sight of ``==``, ``repr`` and ``dataclasses.fields``.
+    Values used as ``lru_cache`` keys are hashed on every lookup, and
+    rehashing nested entry tuples is costly, above all ``Fraction.__hash__``.
+
+    The class attribute ``_hash = None`` makes the first lookup a plain
+    attribute read: catching an ``AttributeError`` there cost more than
+    hashing a small GF(2) matrix. Reading ``self.__dict__`` would build a
+    dict per instance, about three times the memory of the stored int.
+    """
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class Matrix:
     """An immutable ``rows x cols`` matrix with exact entries.

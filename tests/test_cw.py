@@ -4,12 +4,15 @@ Homology goldens below (spheres, cones, wedges, the circle built from two
 arcs) are classical values, written down before running anything.
 """
 
+import dataclasses
 import random
+from functools import lru_cache
 
 import pytest
 
 from abcosp.cw import (
     BadVertexIndex,
+    ChainMap,
     InvalidMap,
     NotATriad,
     augmented_chain,
@@ -46,6 +49,7 @@ from abcosp.exactlin import GF2, GF3, QQ, Matrix, hstack, matrix_to_rows, rank, 
 from abcosp.generators import (
     rand_complex,
     rand_composable_space_cospans,
+    rand_matrix,
     rand_simplicial_map,
     rand_triad,
 )
@@ -495,6 +499,190 @@ class TestChainValidation:
         bad = {0: Matrix.from_rows(GF2, [[1, 0], [0, 0]])}
         with pytest.raises(ValueError):
             make_chain_map(C, C, bad)
+
+
+# Reference chain-map check: every degree with two dense products, absent
+# blocks built as zero matrices, as make_chain_map did before it multiplied
+# stored blocks only.
+
+
+def _nonzero_blocks(comps):
+    return tuple(sorted(
+        (q, m) for q, m in comps.items() if m.rows and m.cols and not m.is_zero()
+    ))
+
+
+def reference_commute_failure(src, dst, comps):
+    """The message of the first degree where the dense check fails, or None."""
+    cm = ChainMap(src, dst, _nonzero_blocks(comps))
+    for q in sorted(set(src.degrees()) | set(dst.degrees())):
+        left = dst.diff_mat(q) @ cm.comp_mat(q)
+        right = cm.comp_mat(q - 1) @ src.diff_mat(q)
+        if left != right:
+            return f"chain map fails to commute at degree {q}"
+    return None
+
+
+def check_against_reference(src, dst, comps):
+    """make_chain_map accepts exactly when the reference does, and fails with
+    its message; returns that message or None."""
+    expected = reference_commute_failure(src, dst, comps)
+    if expected is None:
+        expected_map = ChainMap(src, dst, _nonzero_blocks(comps))
+        assert make_chain_map(src, dst, comps) == expected_map
+    else:
+        with pytest.raises(ValueError) as err:
+            make_chain_map(src, dst, comps)
+        assert str(err.value) == expected
+    return expected
+
+
+def _perturbed(rng, src, dst, comps):
+    """``comps`` with one degree replaced, zeroed, dropped or nudged."""
+    comps = dict(comps)
+    q = rng.randint(-1, max(src.degrees() + dst.degrees()) + 1)
+    shape = (dst.dim(q), src.dim(q))
+    kind = rng.choice(("random", "zero", "drop", "nudge", "keep"))
+    if kind == "random":
+        comps[q] = rand_matrix(rng, src.field, *shape)
+    elif kind == "zero":
+        comps[q] = Matrix.zeros(src.field, *shape)
+    elif kind == "drop":
+        comps.pop(q, None)
+    elif kind == "nudge" and all(shape):
+        rows = [list(r) for r in comps.get(q, Matrix.zeros(src.field, *shape)).entries]
+        i, j = rng.randrange(shape[0]), rng.randrange(shape[1])
+        rows[i][j] += 1
+        comps[q] = Matrix.from_rows(src.field, rows, shape[1])
+    return comps
+
+
+class TestChainMapCheckMatchesReference:
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_seeded_random_maps(self, field):
+        rng = random.Random(90210 + field.characteristic)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(150):
+            K, L = rand_complex(rng, 6), rand_complex(rng, 6)
+            f = chain_map_of(rand_simplicial_map(rng, K, L), field)
+            comps = dict(f.comps)
+            for _ in range(rng.randint(0, 2)):
+                comps = _perturbed(rng, f.src, f.dst, comps)
+            failure = check_against_reference(f.src, f.dst, comps)
+            outcomes["rejected" if failure else "accepted"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_unrelated_complexes(self, field):
+        rng = random.Random(4242 + field.characteristic)
+        for _ in range(60):
+            src = augmented_chain(rand_complex(rng, 5), field)
+            dst = augmented_chain(rand_complex(rng, 5), field)
+            comps = {
+                q: rand_matrix(rng, field, dst.dim(q), n)
+                for q, n in src.dims
+                if rng.random() < 0.7
+            }
+            check_against_reference(src, dst, comps)
+
+    def test_left_side_absent_right_nonzero(self):
+        # edge -> two points: no d_1 in the target, but f_0 d_1 is the
+        # boundary of the edge
+        for field in FIELDS:
+            src, dst = augmented_chain(edge(), field), augmented_chain(s0(), field)
+            comps = {q: Matrix.identity(field, n) for q, n in dst.dims}
+            msg = check_against_reference(src, dst, comps)
+            assert msg == "chain map fails to commute at degree 1"
+
+    def test_right_side_absent_left_nonzero(self):
+        # two points -> edge with f_{-1} absent: the augmentation of the
+        # image is nonzero
+        for field in FIELDS:
+            src, dst = augmented_chain(s0(), field), augmented_chain(edge(), field)
+            comps = {0: Matrix.identity(field, 2)}
+            msg = check_against_reference(src, dst, comps)
+            assert msg == "chain map fails to commute at degree 0"
+
+    def test_both_sides_present_and_unequal(self):
+        for field in FIELDS:
+            C = augmented_chain(s0(), field)
+            comps = {
+                0: Matrix.from_rows(field, [[1, 0], [0, 0]]),
+                -1: Matrix.identity(field, 1),
+            }
+            msg = check_against_reference(C, C, comps)
+            assert msg == "chain map fails to commute at degree 0"
+
+    def test_both_sides_absent_pass(self):
+        for field in FIELDS:
+            pt, C = augmented_chain(point_complex(), field), augmented_chain(circle(), field)
+            assert check_against_reference(pt, C, {}) is None
+            assert check_against_reference(C, pt, {-1: Matrix.zeros(field, 1, 1)}) is None
+
+    def test_zero_dimensional_degrees(self):
+        for field in FIELDS:
+            zero = make_chain_complex(field, {}, {})
+            C = augmented_chain(circle(), field)
+            into = {q: Matrix.zeros(field, n, 0) for q, n in C.dims}
+            out_of = {q: Matrix.zeros(field, 0, n) for q, n in C.dims}
+            assert check_against_reference(zero, C, into) is None
+            assert check_against_reference(C, zero, out_of) is None
+            # a gap at degree 0: C_1 -> C_0 = 0 -> C_{-1}
+            gap = make_chain_complex(field, {1: 1, 0: 0, -1: 1}, {})
+            ident = {1: Matrix.identity(field, 1), -1: Matrix.identity(field, 1)}
+            assert check_against_reference(gap, gap, ident) is None
+            msg = check_against_reference(gap, augmented_chain(edge(), field), {
+                1: Matrix.identity(field, 1), -1: Matrix.identity(field, 1),
+            })
+            assert msg == "chain map fails to commute at degree 1"
+
+
+class TestChainHashOnce:
+    """``ChainComplex`` and ``ChainMap`` hash once and keep the dataclass
+    hash contract."""
+
+    @staticmethod
+    def _routes(field):
+        K = circle()
+        C = augmented_chain(K, field)
+        rebuilt = make_chain_complex(field, dict(C.dims), dict(C.diffs))
+        summed = chain_direct_sum(C, make_chain_complex(field, {}, {}))
+        ident = chain_map_of(identity_simplicial_map(K), field)
+        return C, [rebuilt, summed], ident, [chain_identity(C), chain_identity(summed)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_equal_values_from_different_routes_hash_equal(self, field):
+        C, others, f, maps = self._routes(field)
+        for x, ys in ((C, others), (f, maps)):
+            for y in ys:
+                assert y == x and y is not x
+                assert hash(y) == hash(x)
+                key = tuple(getattr(y, a.name) for a in dataclasses.fields(y))
+                assert hash(y) == hash(key)
+                assert [hash(y) for _ in range(3)] == [hash(x)] * 3
+
+    def test_cached_hash_is_not_part_of_the_value(self):
+        C, (D, _), f, (g, _) = self._routes(QQ)
+        for x, y, names in (
+            (C, D, ["field", "dims", "diffs"]),
+            (f, g, ["src", "dst", "comps"]),
+        ):
+            before = repr(x)
+            hash(x)
+            assert repr(x) == before == repr(y)
+            assert x == y and y == x
+            assert [a.name for a in dataclasses.fields(x)] == names
+
+    def test_lru_cache_hits_on_an_equal_distinct_key(self):
+        C, (D, _), f, (g, _) = self._routes(GF3)
+
+        @lru_cache(maxsize=None)
+        def probe(x):
+            return object()
+
+        assert probe(C) is probe(D)
+        assert probe(f) is probe(g)
+        assert (probe.cache_info().hits, probe.cache_info().misses) == (2, 2)
 
 
 # Reference gluing: the composite of validated structural maps that

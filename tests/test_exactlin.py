@@ -5,7 +5,9 @@ frozen before the implementation existed; nothing here is a regression
 snapshot of the code's own output.
 """
 
+import dataclasses
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -453,3 +455,53 @@ class TestIntegerKernels:
         ])
         assert_rref_matches_reference(m)
         assert rref(m).rank == 2
+
+
+class TestHashOnce:
+    """``Matrix`` hashes once and keeps the dataclass hash contract."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_equal_values_from_different_routes_hash_equal(self, field):
+        half = Fraction(1, 2) if field == QQ else 1
+        a = M(field, [[half, 0], [0, 1]])
+        routes = [
+            M(field, [[half, 0], [0, 1]]),
+            direct_sum(M(field, [[half]]), Matrix.identity(field, 1)),
+            a @ Matrix.identity(field, 2),
+            hstack(a.take_cols([0]), a.take_cols([1])),
+            a.transpose().transpose(),
+        ]
+        for b in routes:
+            assert b == a and b is not a
+            assert hash(b) == hash(a)
+            assert hash(b) == hash((b.field, b.rows, b.cols, b.entries))
+
+    def test_hash_is_stable_across_calls(self):
+        m = M(QQ, [[Fraction(1, 3), Fraction(-2, 5)], [7, 0]])
+        first = hash(m)
+        assert [hash(m) for _ in range(3)] == [first] * 3
+        assert hash(M(QQ, [[Fraction(1, 3), Fraction(-2, 5)], [7, 0]])) == first
+
+    def test_cached_hash_is_not_part_of_the_value(self):
+        m, n = M(GF3, [[1, 2]]), M(GF3, [[1, 2]])
+        before = repr(m)
+        hash(m)
+        assert repr(m) == before == repr(n)
+        assert m == n and n == m
+        assert [f.name for f in dataclasses.fields(m)] == [
+            "field", "rows", "cols", "entries"
+        ]
+        assert dataclasses.astuple(m) == dataclasses.astuple(n)
+        assert M(GF3, [[1, 1]]) != m
+
+    def test_lru_cache_hits_on_an_equal_distinct_key(self):
+        @lru_cache(maxsize=None)
+        def r(x):
+            return rank(x)
+
+        a = M(QQ, [[Fraction(1, 2), 1], [1, 2]])
+        b = vstack(a.take_rows([0]), a.take_rows([1]))
+        assert b == a and b is not a
+        r(a)
+        r(b)
+        assert (r.cache_info().hits, r.cache_info().misses) == (1, 1)

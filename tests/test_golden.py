@@ -16,8 +16,7 @@ CASES = json.loads((GOLDEN / "expected.json").read_text())
 @pytest.mark.parametrize(
     "case", CASES, ids=[f"{c['doc']}:{' '.join(c['argv'])}" for c in CASES]
 )
-def test_golden_report(case, capsys, monkeypatch):
-    monkeypatch.delenv("ABCOSP_TIMING", raising=False)
+def test_golden_report(case, capsys):
     path = GOLDEN / "docs" / f"{case['doc']}.json"
     argv = case["argv"]
     status = cli.main([argv[0], "--in", str(path), *argv[1:]])
