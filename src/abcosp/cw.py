@@ -24,7 +24,7 @@ from .cospan import Cospan, FootMismatch, Span
 from .exactlin import (
     Field,
     Matrix,
-    direct_sum,
+    block_matrix,
     extend_columns,
     hash_once,
     hstack,
@@ -196,6 +196,15 @@ def inclusion_map(sub: SimplicialComplex, sup: SimplicialComplex) -> SimplicialM
     return make_simplicial_map(sub, sup, tuple(range(sub.n_vertices)))
 
 
+def _stored(blocks: Tuple[Tuple[int, Matrix], ...], q: int) -> Optional[Matrix]:
+    """The stored block of degree ``q`` in ``diffs`` or ``comps``, or None
+    when it is absent (zero)."""
+    for deg, m in blocks:
+        if deg == q:
+            return m
+    return None
+
+
 @hash_once
 @dataclass(frozen=True)
 class ChainComplex:
@@ -220,10 +229,10 @@ class ChainComplex:
         return VecObj(self.field, self.dim(q))
 
     def diff_mat(self, q: int) -> Matrix:
-        for deg, m in self.diffs:
-            if deg == q:
-                return m
-        return Matrix.zeros(self.field, self.dim(q - 1), self.dim(q))
+        m = _stored(self.diffs, q)
+        if m is None:
+            return Matrix.zeros(self.field, self.dim(q - 1), self.dim(q))
+        return m
 
     def diff(self, q: int) -> LinMap:
         return LinMap(self.obj(q), self.obj(q - 1), self.diff_mat(q))
@@ -270,10 +279,10 @@ class ChainMap:
     comps: Tuple[Tuple[int, Matrix], ...]
 
     def comp_mat(self, q: int) -> Matrix:
-        for deg, m in self.comps:
-            if deg == q:
-                return m
-        return Matrix.zeros(self.src.field, self.dst.dim(q), self.src.dim(q))
+        m = _stored(self.comps, q)
+        if m is None:
+            return Matrix.zeros(self.src.field, self.dst.dim(q), self.src.dim(q))
+        return m
 
     def comp(self, q: int) -> LinMap:
         return LinMap(self.src.obj(q), self.dst.obj(q), self.comp_mat(q))
@@ -323,23 +332,16 @@ def chain_direct_sum(C: ChainComplex, D: ChainComplex) -> ChainComplex:
     degs = sorted(set(C.degrees()) | set(D.degrees()))
     dims = {q: C.dim(q) + D.dim(q) for q in degs}
     diffs = {
-        q: direct_sum(C.diff_mat(q), D.diff_mat(q))
+        q: block_matrix(
+            C.field,
+            (C.dim(q - 1), D.dim(q - 1)),
+            (C.dim(q), D.dim(q)),
+            {(0, 0): _stored(C.diffs, q), (1, 1): _stored(D.diffs, q)},
+        )
         for q in degs
         if dims.get(q, 0) and dims.get(q - 1, 0)
     }
     return make_chain_complex(C.field, dims, diffs)
-
-
-def _pad_rows(m: Matrix, above: int, below: int) -> Matrix:
-    """``m`` with zero rows stacked above and below it: ``[0; m; 0]``."""
-    f = m.field
-    return vstack(Matrix.zeros(f, above, m.cols), m, Matrix.zeros(f, below, m.cols))
-
-
-def _block_projection(field: Field, before: int, n: int, after: int) -> Matrix:
-    """``[0 | I_n | 0]``, the projection onto the middle one of three blocks."""
-    ident = Matrix.identity(field, n)
-    return hstack(Matrix.zeros(field, n, before), ident, Matrix.zeros(field, n, after))
 
 
 @lru_cache(maxsize=None)
@@ -351,20 +353,21 @@ def augmented_chain(K: SimplicialComplex, field: Field) -> ChainComplex:
     augmentation, so homology of this complex is reduced homology. Boundary
     faces are signed alternately over the increasing vertex order.
     """
+    z, one, minus = field.zero(), field.one(), field.coerce(-1)
     dims = {-1: 1}
     diffs: Dict[int, Matrix] = {}
     for q in range(K.dim + 1):
         dims[q] = len(K.simplices(q))
     if dims[0]:
-        diffs[0] = Matrix.from_rows(field, [[1] * dims[0]])
+        diffs[0] = Matrix(field, 1, dims[0], ((one,) * dims[0],))
     for q in range(1, K.dim + 1):
         below = _index_of(K, q - 1)
-        rows = [[0] * dims[q] for _ in range(dims[q - 1])]
+        rows = [[z] * dims[q] for _ in range(dims[q - 1])]
         for j, s in enumerate(K.simplices(q)):
             for i in range(len(s)):
                 face = s[:i] + s[i + 1 :]
-                rows[below[face]][j] = -1 if i % 2 else 1
-        diffs[q] = Matrix.from_rows(field, rows, dims[q])
+                rows[below[face]][j] = minus if i % 2 else one
+        diffs[q] = Matrix(field, dims[q - 1], dims[q], tuple(map(tuple, rows)))
     return make_chain_complex(field, dims, diffs)
 
 
@@ -388,18 +391,19 @@ def chain_map_of(f: SimplicialMap, field: Field) -> ChainMap:
     """
     src = augmented_chain(f.src, field)
     dst = augmented_chain(f.dst, field)
+    z, one, minus = field.zero(), field.one(), field.coerce(-1)
     comps: Dict[int, Matrix] = {-1: Matrix.identity(field, 1)}
     vm = f.vertex_map
     for q in range(f.src.dim + 1):
-        rows = [[0] * src.dim(q) for _ in range(dst.dim(q))]
+        rows = [[z] * src.dim(q) for _ in range(dst.dim(q))]
         target = _index_of(f.dst, q)
         for j, s in enumerate(f.src.simplices(q)):
             images = [vm[v] for v in s]
             if len(set(images)) < len(images):
                 continue
             t = tuple(sorted(images))
-            rows[target[t]][j] = _permutation_sign(images)
-        comps[q] = Matrix.from_rows(field, rows, src.dim(q))
+            rows[target[t]][j] = one if _permutation_sign(images) > 0 else minus
+        comps[q] = Matrix(field, dst.dim(q), src.dim(q), tuple(map(tuple, rows)))
     return make_chain_map(src, dst, comps)
 
 
@@ -473,14 +477,20 @@ def suspension_shift(C: ChainComplex) -> ChainComplex:
 
 
 def _cone_block(phi: ChainMap, q: int) -> Matrix:
+    """The cone differential at degree q, ``[[d_dst, phi], [0, -d_src]]``,
+    from the stored blocks of ``phi`` and its complexes."""
     dst, src = phi.dst, phi.src
-    field = src.field
-    top = hstack(dst.diff_mat(q), phi.comp_mat(q - 1))
-    bottom = hstack(
-        Matrix.zeros(field, src.dim(q - 2), dst.dim(q)),
-        -src.diff_mat(q - 1),
+    d_src = _stored(src.diffs, q - 1)
+    return block_matrix(
+        src.field,
+        (dst.dim(q - 1), src.dim(q - 2)),
+        (dst.dim(q), src.dim(q - 1)),
+        {
+            (0, 0): _stored(dst.diffs, q),
+            (0, 1): _stored(phi.comps, q - 1),
+            (1, 1): None if d_src is None else -d_src,
+        },
     )
-    return vstack(top, bottom)
 
 
 def _cone_complex(phi: ChainMap) -> ChainComplex:
@@ -504,9 +514,17 @@ def mapping_cone(phi: ChainMap) -> Tuple[ChainComplex, ChainMap, ChainMap]:
     field = src.field
     cone = _cone_complex(phi)
     incl = {
-        q: _pad_rows(Matrix.identity(field, n), 0, src.dim(q - 1)) for q, n in dst.dims
+        q: block_matrix(
+            field, (n, src.dim(q - 1)), (n,), {(0, 0): Matrix.identity(field, n)}
+        )
+        for q, n in dst.dims
     }
-    proj = {q + 1: _block_projection(field, dst.dim(q + 1), n, 0) for q, n in src.dims}
+    proj = {
+        q + 1: block_matrix(
+            field, (n,), (dst.dim(q + 1), n), {(0, 1): Matrix.identity(field, n)}
+        )
+        for q, n in src.dims
+    }
     return (
         cone,
         make_chain_map(dst, cone, incl),
@@ -555,12 +573,23 @@ def compose_chain_cospans(c: Cospan, d: Cospan) -> Cospan:
     if c.foot1 != d.foot0:
         raise FootMismatch("chain cospans do not share their middle foot")
     F, Bc, Bd = c.foot1, c.bulk, d.bulk
-    degs = {q for q, _ in c.f1.comps + d.f0.comps}
-    stacked = {q: vstack(c.f1.comp_mat(q), -d.f0.comp_mat(q)) for q in degs}
-    psi = make_chain_map(F, chain_direct_sum(Bc, Bd), stacked)
+    field = F.field
+    top, bottom = dict(c.f1.comps), {q: -m for q, m in d.f0.comps}
+    psi = make_chain_map(F, chain_direct_sum(Bc, Bd), {
+        q: block_matrix(
+            field, (Bc.dim(q), Bd.dim(q)), (F.dim(q),),
+            {(0, 0): top.get(q), (1, 0): bottom.get(q)},
+        )
+        for q in top.keys() | bottom.keys()
+    })
     cone = _cone_complex(psi)
-    f0 = {q: _pad_rows(m, 0, Bd.dim(q) + F.dim(q - 1)) for q, m in c.f0.comps}
-    f1 = {q: _pad_rows(m, Bc.dim(q), F.dim(q - 1)) for q, m in d.f1.comps}
+
+    def leg(i: int, m: Matrix, q: int) -> Matrix:
+        heights = (Bc.dim(q), Bd.dim(q), F.dim(q - 1))
+        return block_matrix(field, heights, (m.cols,), {(i, 0): m})
+
+    f0 = {q: leg(0, m, q) for q, m in c.f0.comps}
+    f1 = {q: leg(1, m, q) for q, m in d.f1.comps}
     return Cospan(
         make_chain_map(c.foot0, cone, f0),
         make_chain_map(d.foot1, cone, f1),
@@ -587,18 +616,22 @@ def t_sigma_of_chain(c: Cospan) -> Span:
     """
     A0, A1, B = c.foot0, c.foot1, c.bulk
     field = B.field
-    degs = {q for q, _ in c.f0.comps + c.f1.comps}
-    joined = {q: hstack(c.f0.comp_mat(q), c.f1.comp_mat(q)) for q in degs}
-    phi = make_chain_map(chain_direct_sum(A0, A1), B, joined)
+    left, right = dict(c.f0.comps), dict(c.f1.comps)
+    phi = make_chain_map(chain_direct_sum(A0, A1), B, {
+        q: block_matrix(
+            field, (B.dim(q),), (A0.dim(q), A1.dim(q)),
+            {(0, 0): left.get(q), (0, 1): right.get(q)},
+        )
+        for q in left.keys() | right.keys()
+    })
     cone = _cone_complex(phi)
-    g0 = {
-        q + 1: -_block_projection(field, B.dim(q + 1), n, A1.dim(q))
-        for q, n in A0.dims
-    }
-    g1 = {
-        q + 1: _block_projection(field, B.dim(q + 1) + A0.dim(q), n, 0)
-        for q, n in A1.dims
-    }
+
+    def leg(j: int, unit: Matrix, q: int) -> Matrix:
+        widths = (B.dim(q + 1), A0.dim(q), A1.dim(q))
+        return block_matrix(field, (unit.rows,), widths, {(0, j): unit})
+
+    g0 = {q + 1: leg(1, -Matrix.identity(field, n), q) for q, n in A0.dims}
+    g1 = {q + 1: leg(2, Matrix.identity(field, n), q) for q, n in A1.dims}
     return Span(
         make_chain_map(cone, suspension_shift(A0), g0),
         make_chain_map(cone, suspension_shift(A1), g1),
@@ -653,7 +686,11 @@ def induced_on_homology(f: ChainMap, q: int) -> LinMap:
     """The map a chain map induces between homology spaces at degree q."""
     hs = homology(f.src, q)
     hd = homology(f.dst, q)
-    images = f.comp_mat(q) @ hs.reps
+    m = _stored(f.comps, q)
+    if m is None or not hs.reps.cols:
+        images = Matrix.zeros(f.src.field, f.dst.dim(q), hs.reps.cols)
+    else:
+        images = m @ hs.reps
     return LinMap(hs.space, hd.space, homology_class(hd, images))
 
 

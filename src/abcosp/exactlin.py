@@ -22,9 +22,15 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
+
+# The rational zero and one. ``Fraction`` is immutable, so every zero entry
+# over Q can be this one object: tuple comparison of entries then stops at
+# the identity test, and no ``Fraction`` is built per zero.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 class FieldMismatch(ValueError):
@@ -78,10 +84,10 @@ class Field:
             )
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.characteristic == 0 else 0
+        return _Q_ZERO if self.characteristic == 0 else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.characteristic == 0 else 1
+        return _Q_ONE if self.characteristic == 0 else 1
 
     def coerce(self, value) -> Scalar:
         """Normalize ``value`` into this field.
@@ -202,8 +208,8 @@ class Matrix:
         )
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.entries for x in row)
+        # every nonzero entry, int or Fraction, is truthy
+        return not any(map(any, self.entries))
 
     def column(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(row[j] for row in self.entries)
@@ -240,7 +246,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         p = self.field.characteristic
         if p == 0:
-            data = tuple(tuple(-a for a in row) for row in self.entries)
+            data = tuple(tuple(-a if a else a for a in row) for row in self.entries)
         else:
             data = tuple(tuple((-a) % p for a in row) for row in self.entries)
         return Matrix(self.field, self.rows, self.cols, data)
@@ -258,7 +264,7 @@ class Matrix:
             return Matrix.zeros(self.field, self.rows, other.cols)
         p = self.field.characteristic
         brows, d = (other.entries, 1) if p else _integer_rows(other.entries)
-        zero = Fraction(0)
+        zero = _Q_ZERO
         out = []
         for row in self.entries:
             # scale the row to integers, then add c * (row j of other) for
@@ -401,7 +407,7 @@ def _rref_rational(M: Matrix) -> Rref:
         pivots.append(c)
         r += 1
     # rows past the rank have been eliminated to zero
-    zero = Fraction(0)
+    zero = _Q_ZERO
     data = tuple(
         tuple(Fraction(x, row[c]) if x else zero for x in row)
         for row, c in zip(rows, pivots)
@@ -450,7 +456,8 @@ def kernel_basis(M: Matrix) -> Matrix:
         vec[f] = o
         for i, pc in enumerate(piv):
             val = red.R.entries[i][f]
-            vec[pc] = -val if p == 0 else (-val) % p
+            if val:
+                vec[pc] = -val if p == 0 else p - val
         cols.append(vec)
     data = tuple(tuple(col[i] for col in cols) for i in range(M.cols))
     return Matrix(M.field, M.cols, len(free), data)
@@ -532,13 +539,54 @@ def invert(M: Matrix) -> Matrix:
     return red.R.take_cols(range(M.rows, 2 * M.rows))
 
 
+def block_matrix(
+    field: Field,
+    heights: Sequence[int],
+    widths: Sequence[int],
+    parts: Mapping[Tuple[int, int], Optional[Matrix]],
+) -> Matrix:
+    """The block matrix with ``parts[i, j]`` in block row ``i`` and block
+    column ``j``, and zeros in every block ``parts`` leaves out or maps to
+    None.
+
+    Block row ``i`` is ``heights[i]`` rows high and block column ``j`` is
+    ``widths[j]`` columns wide. Each row is written once, from the present
+    blocks and shared zero runs. Raises ``FieldMismatch`` for a block over
+    another field and ``ShapeError`` for a block of the wrong shape.
+    """
+    for (i, j), m in parts.items():
+        if m is None:
+            continue
+        if m.field != field:
+            raise FieldMismatch(f"{field} vs {m.field}")
+        if not (0 <= i < len(heights) and 0 <= j < len(widths)):
+            raise ShapeError(f"block ({i}, {j}) lies outside the block grid")
+        if (m.rows, m.cols) != (heights[i], widths[j]):
+            raise ShapeError(
+                f"block ({i}, {j}) is {m.rows}x{m.cols}, "
+                f"expected {heights[i]}x{widths[j]}"
+            )
+    z = field.zero()
+    cols = sum(widths)
+    data = []
+    for i, h in enumerate(heights):
+        blocks = [parts.get((i, j)) for j in range(len(widths))]
+        if all(m is None for m in blocks):
+            data.extend(((z,) * cols,) * h)
+            continue
+        columns = [
+            ((z,) * w,) * h if m is None else m.entries
+            for m, w in zip(blocks, widths)
+        ]
+        data.extend(sum(pieces, ()) for pieces in zip(*columns))
+    return Matrix(field, sum(heights), cols, tuple(data))
+
+
 def direct_sum(M: Matrix, N: Matrix) -> Matrix:
     """Block diagonal sum ``[[M, 0], [0, N]]``."""
-    _check_same_field(M, N)
-    z = M.field.zero()
-    top = tuple(row + (z,) * N.cols for row in M.entries)
-    bottom = tuple((z,) * M.cols + row for row in N.entries)
-    return Matrix(M.field, M.rows + N.rows, M.cols + N.cols, top + bottom)
+    return block_matrix(
+        M.field, (M.rows, N.rows), (M.cols, N.cols), {(0, 0): M, (1, 1): N}
+    )
 
 
 def scalar_to_token(field: Field, s: Scalar):

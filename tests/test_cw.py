@@ -12,6 +12,7 @@ import pytest
 
 from abcosp.cw import (
     BadVertexIndex,
+    _cone_block,
     ChainMap,
     InvalidMap,
     NotATriad,
@@ -762,3 +763,159 @@ class TestGluingMatchesReference:
         assert glued == ref_compose_chain_cospans(cc, dc)
         for x in (cc, dc, glued):
             assert t_sigma_of_chain(x) == ref_t_sigma_of_chain(x)
+
+
+# Reference chain builders: matrices built with from_rows, hstack, vstack and
+# explicit zero blocks, as the library built them before it wrote entry
+# tuples directly and assembled blocks with block_matrix.
+
+
+def ref_augmented_chain(K, field):
+    dims = {-1: 1}
+    diffs = {}
+    for q in range(K.dim + 1):
+        dims[q] = len(K.simplices(q))
+    if dims[0]:
+        diffs[0] = Matrix.from_rows(field, [[1] * dims[0]])
+    for q in range(1, K.dim + 1):
+        below = {s: i for i, s in enumerate(K.simplices(q - 1))}
+        rows = [[0] * dims[q] for _ in range(dims[q - 1])]
+        for j, s in enumerate(K.simplices(q)):
+            for i in range(len(s)):
+                rows[below[s[:i] + s[i + 1:]]][j] = -1 if i % 2 else 1
+        diffs[q] = Matrix.from_rows(field, rows, dims[q])
+    return make_chain_complex(field, dims, diffs)
+
+
+def _sign(seq):
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def ref_chain_map_of(f, field):
+    src, dst = ref_augmented_chain(f.src, field), ref_augmented_chain(f.dst, field)
+    comps = {-1: Matrix.identity(field, 1)}
+    for q in range(f.src.dim + 1):
+        rows = [[0] * src.dim(q) for _ in range(dst.dim(q))]
+        target = {t: i for i, t in enumerate(f.dst.simplices(q))}
+        for j, s in enumerate(f.src.simplices(q)):
+            images = [f.vertex_map[v] for v in s]
+            if len(set(images)) == len(images):
+                rows[target[tuple(sorted(images))]][j] = _sign(images)
+        comps[q] = Matrix.from_rows(field, rows, src.dim(q))
+    return make_chain_map(src, dst, comps)
+
+
+def ref_cone_block(phi, q):
+    dst, src, f = phi.dst, phi.src, phi.src.field
+    top = hstack(dst.diff_mat(q), phi.comp_mat(q - 1))
+    bottom = hstack(Matrix.zeros(f, src.dim(q - 2), dst.dim(q)), -src.diff_mat(q - 1))
+    return vstack(top, bottom)
+
+
+def _cone_degrees(phi):
+    return sorted(set(phi.dst.degrees()) | {q + 1 for q in phi.src.degrees()})
+
+
+def ref_mapping_cone(phi):
+    src, dst, f = phi.src, phi.dst, phi.src.field
+    degs = _cone_degrees(phi)
+    cone = make_chain_complex(
+        f,
+        {q: dst.dim(q) + src.dim(q - 1) for q in degs},
+        {q: ref_cone_block(phi, q) for q in degs},
+    )
+    incl = {
+        q: vstack(Matrix.identity(f, n), Matrix.zeros(f, src.dim(q - 1), n))
+        for q, n in dst.dims
+    }
+    proj = {
+        q + 1: hstack(Matrix.zeros(f, n, dst.dim(q + 1)), Matrix.identity(f, n))
+        for q, n in src.dims
+    }
+    return (
+        cone,
+        make_chain_map(dst, cone, incl),
+        make_chain_map(cone, suspension_shift(src), proj),
+    )
+
+
+def ref_chain_direct_sum(C, D):
+    f = C.field
+    degs = sorted(set(C.degrees()) | set(D.degrees()))
+    dims = {q: C.dim(q) + D.dim(q) for q in degs}
+
+    def diagonal(a, b):
+        return vstack(
+            hstack(a, Matrix.zeros(f, a.rows, b.cols)),
+            hstack(Matrix.zeros(f, b.rows, a.cols), b),
+        )
+
+    diffs = {
+        q: diagonal(C.diff_mat(q), D.diff_mat(q))
+        for q in degs
+        if dims.get(q, 0) and dims.get(q - 1, 0)
+    }
+    return make_chain_complex(f, dims, diffs)
+
+
+def _same_value(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+def _random_maps(field, seed, count):
+    """Seeded random simplicial maps and their induced chain maps."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        K, L = rand_complex(rng, 6), rand_complex(rng, 6)
+        f = rand_simplicial_map(rng, K, L)
+        yield f, chain_map_of(f, field)
+
+
+class TestChainBuildersMatchReference:
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_augmented_chain_and_chain_map_of(self, field):
+        for f, cm in _random_maps(field, 5150 + field.characteristic, 60):
+            ref = ref_augmented_chain(f.src, field)
+            assert _same_value(augmented_chain(f.src, field), ref)
+            assert _same_value(cm, ref_chain_map_of(f, field))
+        for K in (point_complex(), s0(), circle(), sphere2()):
+            assert _same_value(augmented_chain(K, field), ref_augmented_chain(K, field))
+            ident = identity_simplicial_map(K)
+            ref = ref_chain_map_of(ident, field)
+            assert _same_value(chain_map_of(ident, field), ref)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_cone_blocks_and_mapping_cone(self, field):
+        for _, phi in _random_maps(field, 6160 + field.characteristic, 60):
+            for q in _cone_degrees(phi):
+                assert _same_value(_cone_block(phi, q), ref_cone_block(phi, q))
+            assert _same_value(mapping_cone(phi), ref_mapping_cone(phi))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_cone_of_perturbed_maps(self, field):
+        # cones of maps between unrelated complexes, with dropped and
+        # random components: the blocks need not form a complex, so only
+        # the differentials are compared
+        rng = random.Random(7170 + field.characteristic)
+        for _ in range(60):
+            src = augmented_chain(rand_complex(rng, 5), field)
+            dst = augmented_chain(rand_complex(rng, 5), field)
+            comps = tuple(
+                (q, rand_matrix(rng, field, dst.dim(q), n))
+                for q, n in src.dims
+                if dst.dim(q) and rng.random() < 0.6
+            )
+            phi = ChainMap(src, dst, comps)
+            for q in _cone_degrees(phi):
+                assert _same_value(_cone_block(phi, q), ref_cone_block(phi, q))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_chain_direct_sum(self, field):
+        rng = random.Random(8180 + field.characteristic)
+        zero = make_chain_complex(field, {}, {})
+        for _ in range(60):
+            C = augmented_chain(rand_complex(rng, 6), field)
+            D = suspension_shift(augmented_chain(rand_complex(rng, 6), field))
+            for a, b in ((C, D), (D, C), (C, zero), (zero, D), (C, C)):
+                assert _same_value(chain_direct_sum(a, b), ref_chain_direct_sum(a, b))

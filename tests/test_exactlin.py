@@ -6,6 +6,7 @@ snapshot of the code's own output.
 """
 
 import dataclasses
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,6 +22,7 @@ from abcosp.exactlin import (
     FieldMismatch,
     Matrix,
     ShapeError,
+    block_matrix,
     direct_sum,
     hstack,
     image_basis,
@@ -36,6 +38,7 @@ from abcosp.exactlin import (
     subspace_equal,
     vstack,
 )
+from abcosp.generators import rand_matrix
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -505,3 +508,154 @@ class TestHashOnce:
         r(a)
         r(b)
         assert (r.cache_info().hits, r.cache_info().misses) == (1, 1)
+
+
+# Reference constructions: block matrices stacked from explicit zero blocks,
+# the dense zero test and elementwise negation, as the library built them
+# before it wrote blocks in place and skipped work on zero entries.
+
+
+def reference_block_matrix(field, heights, widths, parts):
+    """``hstack``/``vstack`` of the parts with ``Matrix.zeros`` in the gaps;
+    needs at least one block row and one block column."""
+    return vstack(*(
+        hstack(*(
+            parts[i, j] if (i, j) in parts else Matrix.zeros(field, h, w)
+            for j, w in enumerate(widths)
+        ))
+        for i, h in enumerate(heights)
+    ))
+
+
+def reference_is_zero(m):
+    return all(x == m.field.zero() for row in m.entries for x in row)
+
+
+def reference_neg(m):
+    p = m.field.characteristic
+    return Matrix(m.field, m.rows, m.cols, tuple(
+        tuple(-a if p == 0 else (-a) % p for a in row) for row in m.entries
+    ))
+
+
+def _random_layout(rng, field):
+    heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+    parts = {
+        (i, j): rand_matrix(rng, field, h, w)
+        for i, h in enumerate(heights)
+        for j, w in enumerate(widths)
+        if rng.random() < 0.5
+    }
+    return heights, widths, parts
+
+
+def _assert_same_value(a, b):
+    assert a == b
+    assert repr(a) == repr(b)
+
+
+class TestBlockMatrix:
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_matches_stacked_reference(self, field):
+        rng = random.Random(3100 + field.characteristic)
+        empty_blocks = 0
+        for _ in range(200):
+            heights, widths, parts = _random_layout(rng, field)
+            empty_blocks += 0 in heights or 0 in widths
+            _assert_same_value(
+                block_matrix(field, heights, widths, parts),
+                reference_block_matrix(field, heights, widths, parts),
+            )
+        assert empty_blocks >= 50
+
+    @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
+    def test_layout_without_parts_is_zero(self, field):
+        for heights, widths in (((2, 0, 1), (3, 1)), ((0,), (0, 2)), ((1,), (0,))):
+            m = block_matrix(field, heights, widths, {})
+            _assert_same_value(m, Matrix.zeros(field, sum(heights), sum(widths)))
+            _assert_same_value(m, reference_block_matrix(field, heights, widths, {}))
+        assert block_matrix(field, (), (2,), {}) == Matrix.zeros(field, 0, 2)
+        assert block_matrix(field, (2,), (), {}) == Matrix.zeros(field, 2, 0)
+
+    def test_none_marks_an_absent_block(self):
+        a = M(GF3, [[1, 2]])
+        assert block_matrix(GF3, (1, 1), (2,), {(0, 0): a, (1, 0): None}) == (
+            block_matrix(GF3, (1, 1), (2,), {(0, 0): a})
+        )
+
+    def test_direct_sum_is_the_diagonal_layout(self):
+        rng = random.Random(77)
+        for field in FIELDS:
+            for _ in range(30):
+                a = rand_matrix(rng, field, rng.randint(0, 3), rng.randint(0, 3))
+                b = rand_matrix(rng, field, rng.randint(0, 3), rng.randint(0, 3))
+                z = field.zero()
+                stacked = Matrix(
+                    field, a.rows + b.rows, a.cols + b.cols,
+                    tuple(row + (z,) * b.cols for row in a.entries)
+                    + tuple((z,) * a.cols + row for row in b.entries),
+                )
+                _assert_same_value(direct_sum(a, b), stacked)
+
+    def test_wrong_field_block_raises(self):
+        with pytest.raises(FieldMismatch):
+            block_matrix(QQ, (1,), (1,), {(0, 0): M(GF2, [[1]])})
+        with pytest.raises(FieldMismatch):
+            parts = {(0, 0): M(GF3, [[1]]), (1, 0): M(GF2, [[1]])}
+            block_matrix(GF3, (1, 1), (1,), parts)
+        with pytest.raises(FieldMismatch):
+            direct_sum(M(QQ, [[1]]), M(GF3, [[1]]))
+
+    def test_wrong_shape_block_raises(self):
+        with pytest.raises(ShapeError):
+            block_matrix(QQ, (1,), (2,), {(0, 0): M(QQ, [[1]])})
+        with pytest.raises(ShapeError):
+            block_matrix(QQ, (2, 1), (1,), {(1, 0): M(QQ, [[1], [0]])})
+        with pytest.raises(ShapeError):
+            block_matrix(QQ, (1,), (1,), {(0, 1): M(QQ, [[1]])})
+        with pytest.raises(ShapeError):
+            block_matrix(QQ, (1,), (1,), {(-1, 0): M(QQ, [[1]])})
+
+
+class TestZeroEntries:
+    """Shared rational constants, the truthiness zero test and negation that
+    leaves zeros alone keep the values of the dense reference."""
+
+    def test_rational_constants_behave_as_fractions(self):
+        for got, want in ((QQ.zero(), Fraction(0)), (QQ.one(), Fraction(1))):
+            assert type(got) is Fraction
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert QQ.zero() is QQ.zero() and QQ.one() is QQ.one()
+        assert (GF2.zero(), GF2.one(), GF3.zero(), GF3.one()) == (0, 1, 0, 1)
+
+    def test_kernels_emit_the_shared_zero(self):
+        z = QQ.zero()
+        a = M(QQ, [[1, 2, 0], [2, 4, 0]])
+        prod = a @ M(QQ, [[2, 0], [-1, 0], [5, 0]])
+        red = rref(a).R
+        for m in (prod, red, Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 2)):
+            zeros = [x for row in m.entries for x in row if x == 0]
+            assert zeros and all(x is z for x in zeros)
+
+    @given(small_matrix())
+    def test_is_zero_matches_reference(self, m):
+        assert m.is_zero() == reference_is_zero(m)
+
+    def test_is_zero_on_distinct_zero_objects(self):
+        rows = ((Fraction(0), Fraction(0, 5)), (-Fraction(0), Fraction(0)))
+        assert Matrix(QQ, 2, 2, rows).is_zero()
+        one_nonzero = rows[:1] + ((Fraction(0), Fraction(1, 7)),)
+        assert not Matrix(QQ, 2, 2, one_nonzero).is_zero()
+        for field in FIELDS:
+            assert Matrix.zeros(field, 0, 3).is_zero()
+            assert Matrix.zeros(field, 3, 0).is_zero()
+
+    @given(small_matrix())
+    def test_negation_matches_reference(self, m):
+        neg = -m
+        _assert_same_value(neg, reference_neg(m))
+        for row, nrow in zip(m.entries, neg.entries):
+            for a, b in zip(row, nrow):
+                if m.field == QQ and not a:
+                    assert b is a
