@@ -16,12 +16,10 @@ from .exactlin import (
     direct_sum,
     extend_columns,
     hstack,
-    image_basis,
     kernel_basis,
     rank,
     solve_left,
     solve_right,
-    subspace_equal,
     vstack,
 )
 
@@ -188,11 +186,6 @@ class SquareDiagram:
         if self.g.dst != self.g_prime.dst:
             raise CompositionMismatch("square needs a shared target corner")
 
-    def commutes(self) -> bool:
-        return compose(self.g, self.f).mat == compose(
-            self.g_prime, self.f_prime
-        ).mat
-
 
 @dataclass(frozen=True)
 class ThreeTermComplex:
@@ -211,21 +204,29 @@ class ThreeTermComplex:
 def square_complex(sq: SquareDiagram) -> ThreeTermComplex:
     """The three-term complex of a commuting square.
 
-    ``u = (f (+) -f') . diagonal`` and ``v = codiagonal . (g (+) g')``; the
-    square must commute so that ``v . u = g.f - g'.f' = 0``.
+    ``u = (f (+) -f') . diagonal`` and ``v = codiagonal . (g (+) g')``, so
+    ``v . u = g.f - g'.f'``. The one product ``v . u`` that
+    ``ThreeTermComplex`` checks is the commutation check: a square that does
+    not commute raises ``NonCommutingSquare``.
     """
-    if not sq.commutes():
-        raise NonCommutingSquare("square_complex needs a commuting square")
     A = sq.f.src
     mid = obj_sum(sq.f.dst, sq.f_prime.dst)
     u = LinMap(A, mid, vstack(sq.f.mat, -sq.f_prime.mat))
     v = LinMap(mid, sq.g.dst, hstack(sq.g.mat, sq.g_prime.mat))
-    return ThreeTermComplex(u, v)
+    try:
+        return ThreeTermComplex(u, v)
+    except ValueError as exc:
+        raise NonCommutingSquare("square_complex needs a commuting square") from exc
 
 
 def is_exact_at_middle(c: ThreeTermComplex) -> bool:
-    """Whether ``ker v`` equals ``im u`` as subspaces of the middle object."""
-    return subspace_equal(kernel_basis(c.v.mat), image_basis(c.u.mat))
+    """Whether ``ker v`` equals ``im u`` as subspaces of the middle object.
+
+    ``ThreeTermComplex`` guarantees ``v . u == 0``, so ``im u`` lies in
+    ``ker v``, and a subspace equals a space containing it exactly when their
+    dimensions agree: ``rank u == dim Y - rank v``.
+    """
+    return rank(c.u.mat) + rank(c.v.mat) == c.u.dst.dim
 
 
 def kernel_comparison(sq: SquareDiagram) -> LinMap:

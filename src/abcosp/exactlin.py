@@ -529,16 +529,6 @@ def solve_right(A: Matrix, B: Matrix) -> Optional[Matrix]:
     return Matrix(A.field, n, B.cols, tuple(tuple(row) for row in x))
 
 
-def invert(M: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix; raises ShapeError otherwise."""
-    if M.rows != M.cols:
-        raise ShapeError("only square matrices can be inverted")
-    red = rref(hstack(M, Matrix.identity(M.field, M.rows)))
-    if any(pc >= M.rows for pc in red.pivots):
-        raise ShapeError("matrix is singular")
-    return red.R.take_cols(range(M.rows, 2 * M.rows))
-
-
 def block_matrix(
     field: Field,
     heights: Sequence[int],

@@ -27,7 +27,16 @@ from abcosp.abcat import (
     square_complex,
     zero_map,
 )
-from abcosp.exactlin import GF2, GF3, QQ, Matrix, matrix_to_rows
+from abcosp.exactlin import (
+    GF2,
+    GF3,
+    QQ,
+    Matrix,
+    image_basis,
+    kernel_basis,
+    matrix_to_rows,
+    subspace_equal,
+)
 from abcosp.generators import rand_commuting_square, rand_linmap
 
 FIELDS = (GF2, GF3, QQ)
@@ -42,6 +51,11 @@ def lm(field, src, dst, rows):
 
 def k(field):
     return VecObj(field, 1)
+
+
+def middle_exact_by_subspaces(c):
+    """``ker v == im u`` on canonical bases: the reference for the rank route."""
+    return subspace_equal(kernel_basis(c.v.mat), image_basis(c.u.mat))
 
 
 def test_diagonal_codiagonal_matrices():
@@ -145,6 +159,24 @@ def test_square_complex_rejects_noncommuting():
     assert sq.f.dst == one and sq.g.dst == two
     with pytest.raises(NonCommutingSquare):
         square_complex(sq)
+    with pytest.raises(NonCommutingSquare):
+        is_exact_square(sq)
+
+
+def test_square_complex_multiplies_once(monkeypatch):
+    # v . u is the only product: it is the commutation check as well
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    one = k(GF3)
+    sq = SquareDiagram(identity(one), identity(one), identity(one), identity(one))
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    square_complex(sq)
+    assert calls == [(1, 2, 1)]
 
 
 def test_three_term_complex_validates():
@@ -160,6 +192,22 @@ def test_exactness_trivial_cases():
     assert not is_exact_at_middle(
         ThreeTermComplex(zero_map(zero, one), zero_map(one, zero))
     )
+
+
+def test_rank_route_matches_subspace_reference(rng):
+    # complexes that do not come from squares: v = w . cokernel(u) kills
+    # im u, and is exact at the middle exactly when w is mono
+    for field in FIELDS:
+        verdicts = set()
+        for _ in range(60):
+            u = rand_linmap(rng, field, rng.randint(0, 3), rng.randint(0, 4))
+            q = cokernel(u)
+            w = rand_linmap(rng, field, q.dst.dim, rng.randint(0, 3))
+            c = ThreeTermComplex(u, compose(w, q))
+            exact = is_exact_at_middle(c)
+            assert exact == middle_exact_by_subspaces(c)
+            verdicts.add(exact)
+        assert verdicts == {True, False}
 
 
 def test_exact_square_examples():
@@ -190,7 +238,7 @@ def test_exact_square_comparison_maps_agree(rng):
             exact = is_exact_square(sq)
             kc, cc = kernel_comparison(sq), cokernel_comparison(sq)
             assert exact == (is_epi(kc) and is_mono(cc))
-            assert exact == is_exact_at_middle(square_complex(sq))
+            assert exact == middle_exact_by_subspaces(square_complex(sq))
 
 
 def _pushout_square(f, fp):

@@ -2,9 +2,10 @@
 
 ``extend_columns`` keeps the candidate columns that a greedy loop would
 keep, and ``cokernel``, ``_mono_witness`` and ``homology`` read their
-results off that single elimination. The greedy loop, the unit-completion
-cokernel and the ``Q @ invert(P)`` witness are kept here, written out the
-slow way, as the references the library must match entry for entry.
+results off that single elimination. The greedy loop, a Gauss-Jordan
+``invert``, the unit-completion cokernel and the ``Q @ invert(P)`` witness
+are kept here, written out the slow way, as the references the library must
+match entry for entry.
 """
 
 import random
@@ -26,10 +27,10 @@ from abcosp.exactlin import (
     GF3,
     QQ,
     Matrix,
+    ShapeError,
     extend_columns,
     hstack,
     image_basis,
-    invert,
     kernel_basis,
     rank,
     rref,
@@ -52,6 +53,16 @@ def greedy_columns(base: Matrix, cands: Matrix) -> tuple:
             kept.append(j)
             cur, r = cand, rc
     return tuple(kept)
+
+
+def invert(M: Matrix) -> Matrix:
+    """Inverse of a square invertible matrix; raises ShapeError otherwise."""
+    if M.rows != M.cols:
+        raise ShapeError("only square matrices can be inverted")
+    red = rref(hstack(M, Matrix.identity(M.field, M.rows)))
+    if any(pc >= M.rows for pc in red.pivots):
+        raise ShapeError("matrix is singular")
+    return red.R.take_cols(range(M.rows, 2 * M.rows))
 
 
 def reference_cokernel(f: LinMap) -> Matrix:

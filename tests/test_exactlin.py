@@ -26,7 +26,6 @@ from abcosp.exactlin import (
     direct_sum,
     hstack,
     image_basis,
-    invert,
     kernel_basis,
     matrix_to_rows,
     rank,
@@ -39,6 +38,7 @@ from abcosp.exactlin import (
     vstack,
 )
 from abcosp.generators import rand_matrix
+from test_elimination import invert
 
 FIELDS = (GF2, GF3, QQ)
 
