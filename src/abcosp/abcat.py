@@ -14,9 +14,9 @@ from .exactlin import (
     Field,
     Matrix,
     direct_sum,
-    extend_columns,
     hstack,
     kernel_basis,
+    kernel_rref,
     rank,
     solve_left,
     solve_right,
@@ -64,10 +64,6 @@ class LinMap:
 
 def identity(A: VecObj) -> LinMap:
     return LinMap(A, A, Matrix.identity(A.field, A.dim))
-
-
-def zero_map(A: VecObj, B: VecObj) -> LinMap:
-    return LinMap(A, B, Matrix.zeros(A.field, B.dim, A.dim))
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
@@ -119,22 +115,15 @@ def kernel(f: LinMap) -> LinMap:
 def cokernel(f: LinMap) -> LinMap:
     """The cokernel as a canonical epimorphism out of ``f.dst``.
 
-    The image is completed to a full basis by unit vectors taken greedily in
-    increasing coordinate order; the returned matrix consists of the dual
-    coordinates along those unit vectors. Equal images therefore give
+    Its rows are the reduced row echelon basis of the left null space of
+    ``f``, that is ``kernel_rref`` of the transpose: one elimination of the
+    ``src x dst`` matrix. These are the dual coordinates along the unit
+    vectors that complete the image greedily in increasing coordinate order,
+    the pivots of that echelon basis. Equal images therefore give
     bit-identical cokernel matrices, and ``cokernel(f) . f == 0``.
-
-    One elimination of ``[f | I]`` does it all: its pivots past ``f`` are the
-    greedy unit completion, and the identity block is the row operation ``E``
-    with ``E f`` in echelon form. The last ``n - rank f`` rows of ``E`` kill
-    the image and are the identity on the kept units, which pins them down
-    as the dual coordinates along those units.
     """
-    field, n, m = f.mat.field, f.dst.dim, f.src.dim
-    kept, red = extend_columns(f.mat, Matrix.identity(field, n))
-    k = len(kept)
-    rows = tuple(row[m:] for row in red.R.entries[n - k:])
-    return LinMap(f.dst, VecObj(field, k), Matrix(field, k, n, rows))
+    Q = kernel_rref(f.mat.transpose())
+    return LinMap(f.dst, VecObj(f.mat.field, Q.rows), Q)
 
 
 def pushout(f: LinMap, g: LinMap) -> tuple[LinMap, LinMap]:

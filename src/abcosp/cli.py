@@ -556,7 +556,12 @@ def _run_random_suite(doc: Document, flags: dict):
     for i in range(count):
         rng = random.Random(seed * 1000003 + i)
         f = fields[i % len(fields)]
-        fail = _suite_instance(rng, f, max_feet, max_bulk, max_vertices, d_cap, counts)
+        try:
+            fail = _suite_instance(rng, f, max_feet, max_bulk, max_vertices, d_cap, counts)
+        except ValueError as e:
+            # every input of an instance is generated, so a library error
+            # here is a defect of the library, not of the document
+            raise AssertionError(f"internal defect: {e}") from e
         if fail is not None:
             return "fail", {"instances": i + 1, "checks": counts}, fail
     return "pass", {"instances": count, "checks": counts}, None

@@ -41,7 +41,7 @@ from .exactlin import (
     extend_columns,
     hstack,
     image_basis,
-    kernel_basis,
+    kernel_rref,
     rref,
     solve_right,
     vstack,
@@ -199,8 +199,11 @@ def compose_span(s: Span, t: Span) -> Span:
 @lru_cache(maxsize=None)
 def canonical_cosp(c: Cospan) -> CanonicalClass:
     """Canonical class of a cospan: the kernel of the joint map, presented in
-    the canonical column basis."""
-    K = image_basis(kernel_basis(joint_map(c).mat))
+    the canonical column basis.
+
+    The columns are the reduced row echelon basis of the kernel, read off one
+    elimination by ``kernel_rref``."""
+    K = kernel_rref(joint_map(c).mat).transpose()
     return CanonicalClass(c.foot0, c.foot1, K)
 
 

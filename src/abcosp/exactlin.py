@@ -463,6 +463,39 @@ def kernel_basis(M: Matrix) -> Matrix:
     return Matrix(M.field, M.cols, len(free), data)
 
 
+def kernel_rref(M: Matrix) -> Matrix:
+    """The reduced row echelon basis of ``ker M``, one row per vector.
+
+    One elimination does it: ``R = rref`` of ``M`` with its columns
+    reversed. A free column ``k`` of ``M`` gives the kernel vector
+    ``e_k - sum_i R[i][k'] e_(pivot i)``, where ``k'`` is ``k`` reversed.
+    ``R[i][k']`` is zero unless pivot ``i`` comes before ``k'`` in the
+    reversed order, that is after ``k`` in ``M``, so each vector leads with
+    a 1 at its own free column, has zeros at every other free column, and
+    the rows, taken in increasing ``k``, are the unique RREF of the kernel.
+    """
+    n = M.cols
+    red = rref(Matrix(M.field, M.rows, n, tuple(row[::-1] for row in M.entries)))
+    R = red.R.entries
+    pivs = [(i, n - 1 - pc) for i, pc in enumerate(red.pivots)]
+    pivset = {k for _, k in pivs}
+    z, o = M.field.zero(), M.field.one()
+    p = M.field.characteristic
+    rows = []
+    for k in range(n):
+        if k in pivset:
+            continue
+        vec = [z] * n
+        vec[k] = o
+        kr = n - 1 - k
+        for i, pc in pivs:
+            val = R[i][kr]
+            if val:
+                vec[pc] = -val if p == 0 else p - val
+        rows.append(tuple(vec))
+    return Matrix(M.field, len(rows), n, tuple(rows))
+
+
 def image_basis(M: Matrix) -> Matrix:
     """Canonical basis of the column span of ``M``.
 

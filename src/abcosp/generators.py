@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
 from .abcat import LinMap, SquareDiagram, VecObj, compose, pushout
-from .cospan import Cospan, Span
+from .cospan import Cospan
 from .cw import (
     SimplicialComplex,
     SimplicialMap,
@@ -23,13 +23,22 @@ from .cw import (
     make_simplicial_map,
     simplex_set,
 )
-from .exactlin import Field, Matrix, rank
+from .exactlin import QQ, Field, Matrix, rank
+
+
+# The rationals ``rand_scalar`` draws, by numerator and denominator, built
+# once: zero is the field's shared zero.
+_Q_DRAWS = {
+    (a, b): Fraction(a, b) if a else QQ.zero()
+    for a in range(-2, 3)
+    for b in (1, 2)
+}
 
 
 def rand_scalar(rng: random.Random, field: Field):
     if field.characteristic:
-        return field.coerce(rng.randrange(field.characteristic))
-    return field.coerce(Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))))
+        return rng.randrange(field.characteristic)
+    return _Q_DRAWS[rng.randint(-2, 2), rng.choice((1, 1, 2))]
 
 
 def rand_matrix(rng: random.Random, field: Field, rows: int, cols: int) -> Matrix:
@@ -75,13 +84,6 @@ def rand_cospan(
     return Cospan(
         rand_linmap(rng, field, a0, b), rand_linmap(rng, field, a1, b)
     )
-
-
-def rand_span(
-    rng: random.Random, field: Field, a0: int, a1: int, max_bulk: int
-) -> Span:
-    c = rng.randint(0, max_bulk)
-    return Span(rand_linmap(rng, field, c, a0), rand_linmap(rng, field, c, a1))
 
 
 def rand_cospan_chain(
@@ -346,15 +348,6 @@ def rand_simplicial_map(
         except ValueError:
             continue
     return constant_map(src, dst)
-
-
-def rand_space_cospan(rng: random.Random, max_vertices: int) -> Cospan:
-    L = rand_complex(rng, max_vertices)
-    k0 = rand_complex(rng, max_vertices)
-    k1 = rand_complex(rng, max_vertices)
-    return Cospan(
-        rand_simplicial_map(rng, k0, L), rand_simplicial_map(rng, k1, L)
-    )
 
 
 def rand_composable_space_cospans(

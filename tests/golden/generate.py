@@ -18,9 +18,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
 
 from abcosp import abcat, cli, cospan, generators  # noqa: E402
 from abcosp.exactlin import GF2, GF3, QQ, Field, matrix_to_rows  # noqa: E402
+from builders import rand_span, zero_map  # noqa: E402
 
 DOCS = HERE / "docs"
 EXPECTED = HERE / "expected.json"
@@ -123,8 +125,8 @@ def _zero_pair(rng, field: Field):
     """Zero-dimensional feet and bulks: 0 -> B <- 1 then 1 -> 0 <- 0."""
     c = generators.rand_cospan(rng, field, 0, 1, 0)
     d = cospan.Cospan(
-        abcat.zero_map(abcat.VecObj(field, 1), abcat.VecObj(field, 0)),
-        abcat.zero_map(abcat.VecObj(field, 0), abcat.VecObj(field, 0)),
+        zero_map(abcat.VecObj(field, 1), abcat.VecObj(field, 0)),
+        zero_map(abcat.VecObj(field, 0), abcat.VecObj(field, 0)),
     )
     return c, d
 
@@ -139,13 +141,13 @@ def algebra_cases(tag: str, field: Field, seed: int):
     c1, c2 = generators.rand_cospan_chain(rng, field, 2, 2, 3)
     yield f"{tag}-cospan-chain", algebra_doc(field, c1, c2)
     yield f"{tag}-cospan-zero", algebra_doc(field, *_zero_pair(rng, field))
-    s = generators.rand_span(rng, field, 2, 1, 3)
+    s = rand_span(rng, field, 2, 1, 3)
     t = _epi_extension(rng, field, s)
     assert cospan.leq_span(s, t) is not None
     yield f"{tag}-span-leq-holds", algebra_doc(field, s, t)
     yield f"{tag}-span-leq-reversed", algebra_doc(field, t, s)
-    s1 = generators.rand_span(rng, field, 1, 2, 2)
-    s2 = generators.rand_span(rng, field, 2, 0, 2)
+    s1 = rand_span(rng, field, 1, 2, 2)
+    s2 = rand_span(rng, field, 2, 0, 2)
     yield f"{tag}-span-chain", algebra_doc(field, s1, s2)
     z = cospan.transpose_cosp(_zero_pair(rng, field)[0])
     yield f"{tag}-span-zero", algebra_doc(field, z, z)

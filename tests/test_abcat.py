@@ -25,7 +25,6 @@ from abcosp.abcat import (
     pullback,
     pushout,
     square_complex,
-    zero_map,
 )
 from abcosp.exactlin import (
     GF2,
@@ -38,6 +37,7 @@ from abcosp.exactlin import (
     subspace_equal,
 )
 from abcosp.generators import rand_commuting_square, rand_linmap
+from builders import zero_map
 
 FIELDS = (GF2, GF3, QQ)
 

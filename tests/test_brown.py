@@ -34,9 +34,22 @@ from abcosp.cw import (
     wedge,
 )
 from abcosp.exactlin import GF2, GF3, QQ, matrix_to_rows
-from abcosp.generators import rand_composable_space_cospans, rand_space_cospan
+from abcosp.generators import (
+    rand_complex,
+    rand_composable_space_cospans,
+    rand_simplicial_map,
+)
 
 FIELDS = (GF2, GF3, QQ)
+
+
+def rand_space_cospan(rng, max_vertices):
+    L = rand_complex(rng, max_vertices)
+    k0 = rand_complex(rng, max_vertices)
+    k1 = rand_complex(rng, max_vertices)
+    return Cospan(
+        rand_simplicial_map(rng, k0, L), rand_simplicial_map(rng, k1, L)
+    )
 
 
 def circle():

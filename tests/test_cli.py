@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcosp import abcat, cli
+from abcosp import abcat, cli, cospan, cw, exactlin
 
 BASE_DOC = {
     "version": "1",
@@ -51,6 +51,37 @@ BASE_DOC = {
     "suite": {"count": 4, "max_feet": 2, "max_bulk": 3, "max_vertices": 6},
     "oracle": {"max_feet": 1, "max_bulk": 1, "samples": 40},
 }
+
+
+def _clear_library_caches():
+    for module in (cospan, cw):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def unsigned_kernel_rref(monkeypatch):
+    """``kernel_rref`` with its minus sign dropped, in every caller, and the
+    caches emptied on both sides of the patch."""
+    real = exactlin.kernel_rref
+
+    def unsigned(M):
+        p = M.field.characteristic
+        rows = []
+        for row in real(M).entries:
+            lead = next(j for j, x in enumerate(row) if x)
+            rows.append(row[:lead + 1] + tuple(
+                -x if p == 0 else -x % p for x in row[lead + 1:]
+            ))
+        return exactlin.Matrix(M.field, len(rows), M.cols, tuple(rows))
+
+    _clear_library_caches()
+    monkeypatch.setattr(abcat, "kernel_rref", unsigned)
+    monkeypatch.setattr(cospan, "kernel_rref", unsigned)
+    yield
+    monkeypatch.undo()
+    _clear_library_caches()
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -500,6 +531,32 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("abcosp: internal defect: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed, status", [(0, 1), (4, 3)])
+    def test_unsigned_kernel_rref_is_caught(
+        self, tmp_path, capsys, unsigned_kernel_rref, seed, status
+    ):
+        # invisible over GF(2), so the suite runs over GF(3); seed 0 meets it
+        # first in a law, seed 4 in a generated square that does not commute
+        doc = dict(BASE_DOC, suite={"count": 8, "chars": [3]})
+        p = write_doc(tmp_path, doc)
+        assert cli.main(["random-suite", "--in", p, "--seed", str(seed)]) == status
+        captured = capsys.readouterr()
+        if status == 3:
+            assert captured.out == ""
+            assert captured.err == (
+                "abcosp: internal defect: square_complex needs a commuting square\n"
+            )
+        else:
+            report = json.loads(captured.out)
+            assert report["outcome"] == "fail"
+            assert report["counterexample"] == {"check": "units", "char": 3}
+        # the brute-force oracle runs over GF(2) only, where the sign is lost
+        assert cli.main(["oracle", "--in", write_doc(tmp_path, dict(
+            BASE_DOC, field={"char": 3}), "gf3.json")]) == 2
+        assert capsys.readouterr().err == (
+            "abcosp: oracle: the brute-force oracle runs over GF(2)\n"
+        )
 
     def test_console_script(self, doc_path):
         out = subprocess.run(

@@ -22,7 +22,6 @@ from abcosp.abcat import (
     identity,
     is_mono,
     kernel,
-    zero_map,
 )
 from abcosp.cospan import (
     BoundWitness,
@@ -71,8 +70,8 @@ from abcosp.generators import (
     rand_cospan,
     rand_cospan_chain,
     rand_leq_pair,
-    rand_span,
 )
+from builders import rand_span, zero_map
 
 FIELDS = (GF2, GF3, QQ)
 

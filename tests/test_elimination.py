@@ -1,11 +1,13 @@
 """One elimination in place of rank-per-candidate loops.
 
 ``extend_columns`` keeps the candidate columns that a greedy loop would
-keep, and ``cokernel``, ``_mono_witness`` and ``homology`` read their
-results off that single elimination. The greedy loop, a Gauss-Jordan
-``invert``, the unit-completion cokernel and the ``Q @ invert(P)`` witness
-are kept here, written out the slow way, as the references the library must
-match entry for entry.
+keep, and ``_mono_witness`` and ``homology`` read their results off that
+single elimination. ``kernel_rref`` reads the echelon basis of a kernel off
+one elimination too, and ``cokernel`` and ``canonical_cosp`` are built on
+it. The greedy loop, a Gauss-Jordan ``invert``, the unit-completion
+cokernel, the ``Q @ invert(P)`` witness and the echelon basis of a kernel
+as ``image_basis(kernel_basis(M))`` are kept here, written out the slow way,
+as the references the library must match entry for entry.
 """
 
 import random
@@ -14,10 +16,11 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from abcosp import cw
+from abcosp import cw, exactlin
 from abcosp.abcat import LinMap, VecObj, cokernel
 from abcosp.cospan import (
     _mono_witness,
+    canonical_cosp,
     joint_map,
     joint_span_map,
     transpose_cosp,
@@ -32,11 +35,12 @@ from abcosp.exactlin import (
     hstack,
     image_basis,
     kernel_basis,
+    kernel_rref,
     rank,
     rref,
     vstack,
 )
-from abcosp.generators import rand_complex, rand_cospan, rand_leq_pair
+from abcosp.generators import rand_complex, rand_cospan, rand_leq_pair, rand_linmap
 
 FIELDS = (GF2, GF3, QQ)
 
@@ -123,6 +127,66 @@ def test_extend_columns_skips_dependent_base_columns():
     kept, red = extend_columns(base, Matrix.identity(QQ, 3))
     assert kept == (1, 2)
     assert red.rank == 3
+
+
+def reference_kernel_rref(M: Matrix) -> Matrix:
+    """The echelon basis of ``ker M`` by two eliminations, one row each."""
+    return image_basis(kernel_basis(M)).transpose()
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.data())
+def test_kernel_rref_matches_echelon_basis_of_kernel(field, rows, data):
+    M = data.draw(matrix_over(field, rows))
+    assert kernel_rref(M) == reference_kernel_rref(M)
+
+
+def test_kernel_rref_of_empty_shapes():
+    for field in FIELDS:
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 2)):
+            M = Matrix.zeros(field, rows, cols)
+            assert kernel_rref(M) == Matrix.identity(field, cols)
+            assert kernel_rref(M) == reference_kernel_rref(M)
+
+
+def test_kernel_rref_by_hand():
+    # ker M is cut out by x0 + 2 x1 + 3 x3 = 0 and x2 + x3 / 2 = 0; its
+    # echelon basis leads at x0 and x1, the pivots of M reversed are x3, x2
+    M = Matrix.from_rows(QQ, [[1, 2, 0, 3], [0, 0, 1, Fraction(1, 2)]])
+    third = Fraction(1, 3)
+    assert kernel_rref(M) == Matrix.from_rows(
+        QQ, [[1, 0, third / 2, -third], [0, 1, third, -2 * third]]
+    )
+
+
+def _count_rref(monkeypatch) -> list:
+    calls = []
+    real = exactlin.rref
+
+    def counting(M):
+        calls.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(exactlin, "rref", counting)
+    return calls
+
+
+def test_cokernel_and_canonical_class_eliminate_once(monkeypatch):
+    rng = random.Random(16)
+    for field in FIELDS:
+        f = rand_linmap(rng, field, 3, 4)
+        c = rand_cospan(rng, field, 2, 2, 3)
+        canonical_cosp.cache_clear()
+        calls = _count_rref(monkeypatch)
+        cokernel(f)
+        # one elimination of the src x dst transpose, not of dst x (src + dst)
+        assert calls == [(3, 4)]
+        calls.clear()
+        canonical_cosp(c)
+        # a miss eliminates the bulk x (a0 + a1) joint map once, a hit not at all
+        assert calls == [(c.bulk.dim, 4)]
+        canonical_cosp(c)
+        assert calls == [(c.bulk.dim, 4)]
+        monkeypatch.undo()
 
 
 @given(st.sampled_from(FIELDS), st.integers(0, 5), st.data())
