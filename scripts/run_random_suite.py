@@ -1,14 +1,16 @@
 """Run the seeded property suite from the command line.
 
-Thin wrapper over the `random-suite` command: builds a document holding
-only a field and suite parameters, runs the suite, and prints the usual
-canonical report line. Exit status matches the command line tool: 0 on
-pass, 1 on a counterexample.
+Thin wrapper over the `random-suite` command: writes a document holding
+only a field and suite parameters to a temporary file and runs the command
+line tool on it, so the report line and the exit status are the tool's:
+0 on pass, 1 on a counterexample, 2 on a rejected parameter, 3 on an
+internal defect.
 """
 
 import argparse
 import json
-import sys
+import os
+import tempfile
 
 from abcosp import cli
 
@@ -39,13 +41,16 @@ def main(argv=None):
         },
         sort_keys=True,
     ).encode("utf-8")
-    doc = cli.parse_document(doc_bytes)
-    flags = {"seed": args.seed}
-    if args.d is not None:
-        flags["d"] = float("inf") if args.d == "inf" else int(args.d)
-    report = cli.run("random-suite", doc, flags)
-    sys.stdout.write(cli.dumps_report(report))
-    return 0 if report["outcome"] == "pass" else 1
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(doc_bytes)
+        cmd = ["random-suite", "--in", path, "--seed", str(args.seed)]
+        if args.d is not None:
+            cmd += ["--d", args.d]
+        return cli.main(cmd)
+    finally:
+        os.remove(path)
 
 
 if __name__ == "__main__":

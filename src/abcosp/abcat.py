@@ -86,18 +86,6 @@ def biproduct(f: LinMap, g: LinMap) -> LinMap:
                   direct_sum(f.mat, g.mat))
 
 
-def diagonal(A: VecObj) -> LinMap:
-    """The diagonal ``A -> A (+) A``, two stacked identities."""
-    i = Matrix.identity(A.field, A.dim)
-    return LinMap(A, VecObj(A.field, 2 * A.dim), vstack(i, i))
-
-
-def codiagonal(A: VecObj) -> LinMap:
-    """The fold ``A (+) A -> A``, two concatenated identities."""
-    i = Matrix.identity(A.field, A.dim)
-    return LinMap(VecObj(A.field, 2 * A.dim), A, hstack(i, i))
-
-
 def is_mono(f: LinMap) -> bool:
     return rank(f.mat) == f.src.dim
 
@@ -193,10 +181,10 @@ class ThreeTermComplex:
 def square_complex(sq: SquareDiagram) -> ThreeTermComplex:
     """The three-term complex of a commuting square.
 
-    ``u = (f (+) -f') . diagonal`` and ``v = codiagonal . (g (+) g')``, so
-    ``v . u = g.f - g'.f'``. The one product ``v . u`` that
-    ``ThreeTermComplex`` checks is the commutation check: a square that does
-    not commute raises ``NonCommutingSquare``.
+    ``u = [f; -f']`` stacks the two maps out of ``A`` and ``v = [g | g']``
+    joins the two maps into ``D``, so ``v . u = g.f - g'.f'``. The one
+    product ``v . u`` that ``ThreeTermComplex`` checks is the commutation
+    check: a square that does not commute raises ``NonCommutingSquare``.
     """
     A = sq.f.src
     mid = obj_sum(sq.f.dst, sq.f_prime.dst)

@@ -134,8 +134,8 @@ def closure_and_validate(
     return _complex_from_set(n_vertices, closed)
 
 
-def point_complex(n_vertices: int = 1) -> SimplicialComplex:
-    return closure_and_validate(n_vertices, [(0,)])
+def point_complex() -> SimplicialComplex:
+    return closure_and_validate(1, [(0,)])
 
 
 @dataclass(frozen=True)
@@ -225,17 +225,11 @@ class ChainComplex:
                 return d
         return 0
 
-    def obj(self, q: int) -> VecObj:
-        return VecObj(self.field, self.dim(q))
-
     def diff_mat(self, q: int) -> Matrix:
         m = _stored(self.diffs, q)
         if m is None:
             return Matrix.zeros(self.field, self.dim(q - 1), self.dim(q))
         return m
-
-    def diff(self, q: int) -> LinMap:
-        return LinMap(self.obj(q), self.obj(q - 1), self.diff_mat(q))
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(deg for deg, _ in self.dims)
@@ -283,9 +277,6 @@ class ChainMap:
         if m is None:
             return Matrix.zeros(self.src.field, self.dst.dim(q), self.src.dim(q))
         return m
-
-    def comp(self, q: int) -> LinMap:
-        return LinMap(self.src.obj(q), self.dst.obj(q), self.comp_mat(q))
 
 
 def make_chain_map(

@@ -211,9 +211,6 @@ class Matrix:
         # every nonzero entry, int or Fraction, is truthy
         return not any(map(any, self.entries))
 
-    def column(self, j: int) -> Tuple[Scalar, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def take_cols(self, idxs: Sequence[int]) -> "Matrix":
         return Matrix(
             self.field, self.rows, len(idxs),
@@ -226,23 +223,6 @@ class Matrix:
             tuple(self.entries[i] for i in idxs),
         )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("addition needs equal shapes")
-        p = self.field.characteristic
-        if p == 0:
-            data = tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        else:
-            data = tuple(
-                tuple((a + b) % p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        return Matrix(self.field, self.rows, self.cols, data)
-
     def __neg__(self) -> "Matrix":
         p = self.field.characteristic
         if p == 0:
@@ -250,9 +230,6 @@ class Matrix:
         else:
             data = tuple(tuple((-a) % p for a in row) for row in self.entries)
         return Matrix(self.field, self.rows, self.cols, data)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
@@ -438,62 +415,65 @@ def extend_columns(base: Matrix, cands: Matrix) -> Tuple[Tuple[int, ...], Rref]:
     return tuple(pc - b for pc in red.pivots if pc >= b), red
 
 
+def _null_vectors(M: Matrix) -> list:
+    """The basis of ``ker M`` read off ``R = rref(M)``, one tuple per vector.
+
+    For each free column ``f``, in increasing order, the vector is
+    ``e_f - sum_i R[i][f] e_(pivot i)``: the negation is ``-v`` over Q and
+    ``p - v`` over GF(p). ``R[i][f]`` is zero unless pivot ``i`` comes
+    before ``f``, so each vector has its own free column as its last
+    nonzero entry and zeros at every other free column.
+    """
+    red = rref(M)
+    R, pivots = red.R.entries, red.pivots
+    n = M.cols
+    z, o = M.field.zero(), M.field.one()
+    p = M.field.characteristic
+    vecs = []
+    k = 0  # the pivots before f, the only rows that can be nonzero at f
+    for f in range(n):
+        if k < red.rank and pivots[k] == f:
+            k += 1
+            continue
+        vec = [z] * n
+        vec[f] = o
+        for pc, row in zip(pivots[:k], R):
+            val = row[f]
+            if val:
+                vec[pc] = -val if p == 0 else p - val
+        vecs.append(tuple(vec))
+    return vecs
+
+
 def kernel_basis(M: Matrix) -> Matrix:
     """Canonical basis of ``ker M``, one column per free variable.
 
     Free variables are taken in increasing column order and each is set to 1,
-    so the output is a unique function of the kernel subspace.
+    so the output is a unique function of the kernel subspace. It is the
+    echelon basis of the kernel in reversed coordinate order: each column
+    read backwards, last column first, is a row of ``kernel_rref`` of ``M``
+    with its columns reversed.
     """
-    red = rref(M)
-    piv = red.pivots
-    pivset = set(piv)
-    free = [j for j in range(M.cols) if j not in pivset]
-    z, o = M.field.zero(), M.field.one()
-    p = M.field.characteristic
-    cols = []
-    for f in free:
-        vec = [z] * M.cols
-        vec[f] = o
-        for i, pc in enumerate(piv):
-            val = red.R.entries[i][f]
-            if val:
-                vec[pc] = -val if p == 0 else p - val
-        cols.append(vec)
-    data = tuple(tuple(col[i] for col in cols) for i in range(M.cols))
-    return Matrix(M.field, M.cols, len(free), data)
+    vecs = _null_vectors(M)
+    data = tuple(zip(*vecs)) if vecs else ((),) * M.cols
+    return Matrix(M.field, M.cols, len(vecs), data)
 
 
 def kernel_rref(M: Matrix) -> Matrix:
     """The reduced row echelon basis of ``ker M``, one row per vector.
 
-    One elimination does it: ``R = rref`` of ``M`` with its columns
-    reversed. A free column ``k`` of ``M`` gives the kernel vector
-    ``e_k - sum_i R[i][k'] e_(pivot i)``, where ``k'`` is ``k`` reversed.
-    ``R[i][k']`` is zero unless pivot ``i`` comes before ``k'`` in the
-    reversed order, that is after ``k`` in ``M``, so each vector leads with
-    a 1 at its own free column, has zeros at every other free column, and
-    the rows, taken in increasing ``k``, are the unique RREF of the kernel.
+    One elimination does it: the null vectors of ``M`` with its columns
+    reversed, each read backwards, in reverse order. A free column ``k`` of
+    ``M`` gives a vector whose first nonzero entry is a 1 at ``k``, with
+    zeros at every other free column, so the rows, taken in increasing
+    ``k``, are the unique RREF of the kernel.
     """
     n = M.cols
-    red = rref(Matrix(M.field, M.rows, n, tuple(row[::-1] for row in M.entries)))
-    R = red.R.entries
-    pivs = [(i, n - 1 - pc) for i, pc in enumerate(red.pivots)]
-    pivset = {k for _, k in pivs}
-    z, o = M.field.zero(), M.field.one()
-    p = M.field.characteristic
-    rows = []
-    for k in range(n):
-        if k in pivset:
-            continue
-        vec = [z] * n
-        vec[k] = o
-        kr = n - 1 - k
-        for i, pc in pivs:
-            val = R[i][kr]
-            if val:
-                vec[pc] = -val if p == 0 else p - val
-        rows.append(tuple(vec))
-    return Matrix(M.field, len(rows), n, tuple(rows))
+    vecs = _null_vectors(
+        Matrix(M.field, M.rows, n, tuple(row[::-1] for row in M.entries))
+    )
+    rows = tuple(vec[::-1] for vec in reversed(vecs))
+    return Matrix(M.field, len(rows), n, rows)
 
 
 def image_basis(M: Matrix) -> Matrix:

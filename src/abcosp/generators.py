@@ -285,13 +285,13 @@ def enum_cospans_gf2(
                 )
 
 
-def rand_complex(
-    rng: random.Random, max_vertices: int, max_simplex: int = 3
-) -> SimplicialComplex:
+def rand_complex(rng: random.Random, max_vertices: int) -> SimplicialComplex:
+    """A random complex on at most ``max_vertices`` vertices: up to six
+    maximal simplices of dimension at most 3."""
     n = rng.randint(1, max_vertices)
     maximal = []
     for _ in range(rng.randint(0, 6)):
-        size = rng.randint(1, min(max_simplex + 1, n))
+        size = rng.randint(1, min(4, n))
         maximal.append(rng.sample(range(n), size))
     return closure_and_validate(n, maximal)
 
@@ -330,15 +330,12 @@ def rand_triad(
 
 
 def rand_simplicial_map(
-    rng: random.Random,
-    src: SimplicialComplex,
-    dst: SimplicialComplex,
-    tries: int = 40,
+    rng: random.Random, src: SimplicialComplex, dst: SimplicialComplex
 ) -> SimplicialMap:
-    """A random pointed simplicial map, or the constant map when sampling
-    keeps missing (a sparse target makes valid assignments rare)."""
+    """A random pointed simplicial map, or the constant map when 40 samples
+    all miss (a sparse target makes valid assignments rare)."""
     verts = dst.vertices
-    for _ in range(tries):
+    for _ in range(40):
         vm = [0] * src.n_vertices
         for v in src.vertices:
             if v:

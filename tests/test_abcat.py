@@ -10,11 +10,9 @@ from abcosp.abcat import (
     ThreeTermComplex,
     VecObj,
     biproduct,
-    codiagonal,
     cokernel,
     cokernel_comparison,
     compose,
-    diagonal,
     identity,
     is_epi,
     is_exact_at_middle,
@@ -58,14 +56,6 @@ def middle_exact_by_subspaces(c):
     return subspace_equal(kernel_basis(c.v.mat), image_basis(c.u.mat))
 
 
-def test_diagonal_codiagonal_matrices():
-    assert matrix_to_rows(diagonal(k(GF2)).mat) == [[1], [1]]
-    assert matrix_to_rows(codiagonal(k(GF2)).mat) == [[1, 1]]
-    # nabla after delta is doubling: zero over GF(2), 2 over the rationals
-    assert compose(codiagonal(k(GF2)), diagonal(k(GF2))).mat.is_zero()
-    assert matrix_to_rows(compose(codiagonal(k(QQ)), diagonal(k(QQ))).mat) == [[2]]
-
-
 def test_identity_unit_law(rng):
     for field in FIELDS:
         f = rand_linmap(rng, field, 2, 3)
@@ -88,12 +78,12 @@ def test_biproduct_block_law(rng):
 
 
 def test_kernel_of_diagonal_is_zero_object():
-    ker = kernel(diagonal(k(GF2)))
+    ker = kernel(lm(GF2, 1, 2, [[1], [1]]))
     assert ker.src.dim == 0 and is_mono(ker)
 
 
 def test_cokernel_of_diagonal_gf2():
-    cok = cokernel(diagonal(k(GF2)))
+    cok = cokernel(lm(GF2, 1, 2, [[1], [1]]))
     assert matrix_to_rows(cok.mat) == [[1, 1]]
 
 
@@ -121,8 +111,9 @@ def test_kernel_cokernel_laws(rng):
 
 
 def test_mono_epi_trio():
-    assert is_mono(diagonal(k(GF2)))
-    assert is_epi(codiagonal(k(GF2)))
+    # the diagonal k -> k (+) k and the fold k (+) k -> k
+    assert is_mono(lm(GF2, 1, 2, [[1], [1]]))
+    assert is_epi(lm(GF2, 2, 1, [[1, 1]]))
     z = zero_map(k(GF2), k(GF2))
     assert not is_mono(z) and not is_epi(z)
 

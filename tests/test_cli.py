@@ -84,6 +84,29 @@ def unsigned_kernel_rref(monkeypatch):
     _clear_library_caches()
 
 
+@pytest.fixture
+def unsigned_null_vectors(monkeypatch):
+    """The null-space read-back behind both kernel forms with its minus sign
+    dropped, and the caches emptied on both sides of the patch."""
+    real = exactlin._null_vectors
+
+    def unsigned(M):
+        p = M.field.characteristic
+        vecs = []
+        for vec in real(M):
+            # the free column is the last nonzero entry; the pivots precede it
+            free = max(j for j, x in enumerate(vec) if x)
+            vecs.append(tuple(-x if p == 0 else -x % p for x in vec[:free])
+                        + vec[free:])
+        return vecs
+
+    _clear_library_caches()
+    monkeypatch.setattr(exactlin, "_null_vectors", unsigned)
+    yield
+    monkeypatch.undo()
+    _clear_library_caches()
+
+
 def write_doc(tmp_path, doc, name="doc.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -558,6 +581,32 @@ class TestMain:
             "abcosp: oracle: the brute-force oracle runs over GF(2)\n"
         )
 
+    @pytest.mark.parametrize("seed, failure", [
+        (0, {"check": "units", "char": 3}),
+        (4, {"check": "brown_functoriality", "char": 3, "q": 0}),
+        (3, None),
+    ])
+    def test_unsigned_null_vectors_are_caught(
+        self, tmp_path, capsys, unsigned_null_vectors, seed, failure
+    ):
+        # both kernel forms lose the sign; seeds 0 and 4 meet it first in a
+        # law, seed 3 in a homology representative that is not a cycle
+        doc = dict(BASE_DOC, suite={"count": 8, "chars": [3]})
+        p = write_doc(tmp_path, doc)
+        status = cli.main(["random-suite", "--in", p, "--seed", str(seed)])
+        captured = capsys.readouterr()
+        if failure is None:
+            assert status == 3
+            assert captured.out == ""
+            assert captured.err == (
+                "abcosp: internal defect: column is not a cycle of this degree\n"
+            )
+        else:
+            assert status == 1
+            report = json.loads(captured.out)
+            assert report["outcome"] == "fail"
+            assert report["counterexample"] == failure
+
     def test_console_script(self, doc_path):
         out = subprocess.run(
             [sys.executable, "-m", "abcosp.cli", "homology", "--in", doc_path, "--q", "1"],
@@ -568,11 +617,16 @@ class TestMain:
         assert json.loads(out.stdout)["value"]["dim"] == 1
 
 
-def test_run_random_suite_script_honours_char(monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_random_suite.py"
-    spec = importlib.util.spec_from_file_location("run_random_suite", path)
+def _load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_random_suite_script_honours_char(monkeypatch, capsys):
+    script = _load_script("run_random_suite")
     seen = []
 
     def record(rng, f, *rest):
@@ -584,12 +638,20 @@ def test_run_random_suite_script_honours_char(monkeypatch, capsys):
     assert seen == [5, 5, 5]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "foo"], "--d takes an integer or 'inf'"),
+    (["--count", "-1"], "suite.count: need an integer >= 0"),
+])
+def test_run_random_suite_script_rejects_bad_parameters(capsys, argv, message):
+    # the command line tool's exit status: 2 for a rejected parameter
+    assert _load_script("run_random_suite").main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"abcosp: {message}\n"
+
+
 def test_circle_instance_script(capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "circle_instance.py"
-    spec = importlib.util.spec_from_file_location("circle_instance", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.main()
+    _load_script("circle_instance").main()
     lines = capsys.readouterr().out.splitlines()
     glued = [line for line in lines if "glued bulk homology" in line]
     assert [line.split(":")[0].strip() for line in glued] == ["GF(2)", "GF(3)", "Q"]

@@ -5,11 +5,16 @@ keep, and ``_mono_witness`` and ``homology`` read their results off that
 single elimination. ``kernel_rref`` reads the echelon basis of a kernel off
 one elimination too, and ``cokernel`` and ``canonical_cosp`` are built on
 it. The greedy loop, a Gauss-Jordan ``invert``, the unit-completion
-cokernel, the ``Q @ invert(P)`` witness and the echelon basis of a kernel
-as ``image_basis(kernel_basis(M))`` are kept here, written out the slow way,
-as the references the library must match entry for entry.
+cokernel and the ``Q @ invert(P)`` witness are kept here, written out the
+slow way, as the references the library must match entry for entry.
+
+The two kernel forms are checked against a reference that calls no
+``exactlin`` routine: the kernel over GF(2) and GF(3), enumerated vector by
+vector and echelon-reduced on plain integer lists. ``tests/test_modp.py``
+checks the rational kernels.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -129,15 +134,52 @@ def test_extend_columns_skips_dependent_base_columns():
     assert red.rank == 3
 
 
-def reference_kernel_rref(M: Matrix) -> Matrix:
-    """The echelon basis of ``ker M`` by two eliminations, one row each."""
-    return image_basis(kernel_basis(M)).transpose()
+def enumerated_kernel(M: Matrix) -> list:
+    """Every vector of ``ker M`` over GF(p), found by trying them all."""
+    p = M.field.characteristic
+    return [
+        x for x in itertools.product(range(p), repeat=M.cols)
+        if all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in M.entries)
+    ]
 
 
-@given(st.sampled_from(FIELDS), st.integers(0, 5), st.data())
+def echelon_rows(vectors: list, p: int) -> tuple:
+    """The nonzero rows of the reduced row echelon form of ``vectors`` over
+    GF(p), by Gauss-Jordan on plain integer lists."""
+    rows = [list(v) for v in vectors]
+    out = []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pow(pivot[c], p - 2, p)
+        pivot = [a * inv % p for a in pivot]
+        rows = [[(a - r[c] * b) % p for a, b in zip(r, pivot)] for r in rows]
+        out = [[(a - r[c] * b) % p for a, b in zip(r, pivot)] for r in out]
+        out.append(pivot)
+    return tuple(map(tuple, out))
+
+
+def reference_kernels(M: Matrix) -> tuple:
+    """``kernel_rref(M)`` and ``kernel_basis(M)`` entries, from the enumerated
+    kernel: its echelon basis, and its echelon basis in reversed coordinate
+    order read back, in reverse order, as columns."""
+    p, n = M.field.characteristic, M.cols
+    ker = enumerated_kernel(M)
+    flipped = echelon_rows([x[::-1] for x in ker], p)
+    basis = [x[::-1] for x in reversed(flipped)]
+    return echelon_rows(ker, p), tuple(zip(*basis)) if basis else ((),) * n
+
+
+@given(st.sampled_from((GF2, GF3)), st.integers(0, 5), st.data())
 def test_kernel_rref_matches_echelon_basis_of_kernel(field, rows, data):
-    M = data.draw(matrix_over(field, rows))
-    assert kernel_rref(M) == reference_kernel_rref(M)
+    M = data.draw(matrix_over(field, rows, 6))
+    echelon, basis = reference_kernels(M)
+    K = kernel_rref(M)
+    assert (K.rows, K.cols, K.entries) == (len(echelon), M.cols, echelon)
+    B = kernel_basis(M)
+    assert (B.rows, B.cols, B.entries) == (M.cols, len(echelon), basis)
 
 
 def test_kernel_rref_of_empty_shapes():
@@ -145,7 +187,11 @@ def test_kernel_rref_of_empty_shapes():
         for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 2)):
             M = Matrix.zeros(field, rows, cols)
             assert kernel_rref(M) == Matrix.identity(field, cols)
-            assert kernel_rref(M) == reference_kernel_rref(M)
+            assert kernel_basis(M) == Matrix.identity(field, cols)
+            if field.characteristic:
+                assert reference_kernels(M) == (
+                    kernel_rref(M).entries, kernel_basis(M).entries
+                )
 
 
 def test_kernel_rref_by_hand():
@@ -168,6 +214,30 @@ def _count_rref(monkeypatch) -> list:
 
     monkeypatch.setattr(exactlin, "rref", counting)
     return calls
+
+
+def test_kernels_eliminate_once(monkeypatch):
+    rng = random.Random(17)
+    for field in FIELDS:
+        M = rand_linmap(rng, field, 4, 3).mat
+        flipped = Matrix(field, 3, 4, tuple(row[::-1] for row in M.entries))
+        for kernel, other, seen in (
+            (kernel_rref, "kernel_basis", flipped),
+            (kernel_basis, "kernel_rref", M),
+        ):
+            calls = []
+            real = exactlin.rref
+
+            def recording(A):
+                calls.append(A)
+                return real(A)
+
+            monkeypatch.setattr(exactlin, "rref", recording)
+            # neither kernel form goes through the other
+            monkeypatch.setattr(exactlin, other, None)
+            kernel(M)
+            assert calls == [seen]
+            monkeypatch.undo()
 
 
 def test_cokernel_and_canonical_class_eliminate_once(monkeypatch):
