@@ -39,6 +39,7 @@ from .abcat import (
 from .exactlin import (
     Matrix,
     extend_columns,
+    hash_once,
     hstack,
     image_basis,
     kernel_rref,
@@ -52,6 +53,7 @@ class FootMismatch(ValueError):
     """The two sides do not share the required feet."""
 
 
+@hash_once
 @dataclass(frozen=True)
 class Cospan:
     """A pair of arrows ``f0: A0 -> B`` and ``f1: A1 -> B`` into one bulk:
@@ -77,6 +79,7 @@ class Cospan:
         return self.f0.dst
 
 
+@hash_once
 @dataclass(frozen=True)
 class Span:
     """A pair of arrows ``g0: C -> A0`` and ``g1: C -> A1`` out of one bulk:
@@ -215,12 +218,14 @@ def canonical_span(s: Span) -> CanonicalClass:
 
 
 def _check_feet_cosp(c: Cospan, d: Cospan) -> None:
-    if c.foot0 != d.foot0 or c.foot1 != d.foot1:
+    # tuple comparison tests identity before ``==``, so shared feet cost no
+    # dataclass ``__eq__`` call
+    if (c.f0.src, c.f1.src) != (d.f0.src, d.f1.src):
         raise FootMismatch("cospans must share both feet")
 
 
 def _check_feet_span(s: Span, t: Span) -> None:
-    if s.foot0 != t.foot0 or s.foot1 != t.foot1:
+    if (s.g0.dst, s.g1.dst) != (t.g0.dst, t.g1.dst):
         raise FootMismatch("spans must share both feet")
 
 

@@ -118,19 +118,27 @@ GF3 = Field(3)
 def hash_once(cls):
     """Give a frozen dataclass a ``__hash__`` that is computed once.
 
-    Apply it outside ``@dataclass(frozen=True)``, on a class of two or more
-    fields. The hash is the one the dataclass would compute, ``hash`` of the
-    tuple of fields. It is stored as the instance attribute ``_hash`` on
-    first use, out of sight of ``==``, ``repr`` and ``dataclasses.fields``.
-    Values used as ``lru_cache`` keys are hashed on every lookup, and
-    rehashing nested entry tuples is costly, above all ``Fraction.__hash__``.
+    Apply it outside ``@dataclass(frozen=True)``. The class must have two or
+    more fields, or ``TypeError`` is raised: ``attrgetter`` of one name
+    returns the bare field, not a 1-tuple, so the stored hash would not be
+    the dataclass's. The hash is the one the dataclass would compute,
+    ``hash`` of the tuple of fields. It is stored as the instance attribute
+    ``_hash`` on first use, out of sight of ``==``, ``repr`` and
+    ``dataclasses.fields``. Values used as ``lru_cache`` keys are hashed on
+    every lookup, and rehashing nested entry tuples is costly, above all
+    ``Fraction.__hash__``.
 
     The class attribute ``_hash = None`` makes the first lookup a plain
     attribute read: catching an ``AttributeError`` there cost more than
     hashing a small GF(2) matrix. Reading ``self.__dict__`` would build a
     dict per instance, about three times the memory of the stored int.
     """
-    key = attrgetter(*(f.name for f in fields(cls)))
+    names = [f.name for f in fields(cls)]
+    if len(names) < 2:
+        raise TypeError(
+            f"hash_once needs two or more fields; {cls.__name__} has {len(names)}"
+        )
+    key = attrgetter(*names)
 
     def __hash__(self) -> int:
         h = self._hash

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcosp import abcat, cli, cospan, cw, exactlin
+from abcosp import abcat, brown, cli, cospan, cw, exactlin
 
 BASE_DOC = {
     "version": "1",
@@ -102,6 +102,29 @@ def unsigned_null_vectors(monkeypatch):
 
     _clear_library_caches()
     monkeypatch.setattr(exactlin, "_null_vectors", unsigned)
+    yield
+    monkeypatch.undo()
+    _clear_library_caches()
+
+
+@pytest.fixture
+def leq_ignoring_bulks(monkeypatch):
+    """``leq_cosp`` without its bulk-dimension test, in ``cospan`` and in the
+    name ``brown`` imports, and the caches emptied on both sides of the
+    patch."""
+
+    def leq(c, d):
+        cospan._check_feet_cosp(c, d)
+        if cospan.canonical_cosp(c) != cospan.canonical_cosp(d):
+            return None
+        G = cospan._mono_witness(cospan.joint_map(c).mat, cospan.joint_map(d).mat)
+        if G is None:
+            raise AssertionError("internal defect: decision and witness disagree")
+        return abcat.LinMap(c.bulk, d.bulk, G)
+
+    _clear_library_caches()
+    monkeypatch.setattr(cospan, "leq_cosp", leq)
+    monkeypatch.setattr(brown, "leq_cosp", leq)
     yield
     monkeypatch.undo()
     _clear_library_caches()
@@ -606,6 +629,19 @@ class TestMain:
             report = json.loads(captured.out)
             assert report["outcome"] == "fail"
             assert report["counterexample"] == failure
+
+    def test_leq_ignoring_bulks_is_caught_by_the_oracle(
+        self, tmp_path, capsys, leq_ignoring_bulks
+    ):
+        # an equivalent pair with the larger bulk on the left is "decided"
+        # to hold, and the witness search then finds no mono
+        p = write_doc(tmp_path, dict(BASE_DOC, field={"char": 2}))
+        assert cli.main(["oracle", "--in", p]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "abcosp: internal defect: decision and witness disagree\n"
+        )
 
     def test_console_script(self, doc_path):
         out = subprocess.run(

@@ -6,6 +6,7 @@ arcs) are classical values, written down before running anything.
 
 import dataclasses
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -45,7 +46,16 @@ from abcosp.cw import (
     wedge,
     wedge_map,
 )
-from abcosp.cospan import Cospan, Span
+from abcosp.abcat import LinMap, VecObj
+from abcosp.cospan import (
+    Cospan,
+    Span,
+    dagger_cosp,
+    dagger_span,
+    tensor_cosp,
+    tensor_span,
+    transpose_cosp,
+)
 from abcosp.exactlin import GF2, GF3, QQ, Matrix, hstack, matrix_to_rows, rank, vstack
 from abcosp.generators import (
     rand_complex,
@@ -639,22 +649,47 @@ class TestChainMapCheckMatchesReference:
 
 
 class TestChainHashOnce:
-    """``ChainComplex`` and ``ChainMap`` hash once and keep the dataclass
-    hash contract."""
+    """``ChainComplex``, ``ChainMap`` and the arrow pairs ``Cospan`` and
+    ``Span`` hash once and keep the dataclass hash contract."""
 
     @staticmethod
     def _routes(field):
+        """Each value with equal values built by other routes, and its field
+        names."""
         K = circle()
         C = augmented_chain(K, field)
         rebuilt = make_chain_complex(field, dict(C.dims), dict(C.diffs))
         summed = chain_direct_sum(C, make_chain_complex(field, {}, {}))
         ident = chain_map_of(identity_simplicial_map(K), field)
-        return C, [rebuilt, summed], ident, [chain_identity(C), chain_identity(summed)]
+
+        half = Fraction(1, 2) if field == QQ else 1
+
+        def lin(src, dst, rows):
+            return LinMap(VecObj(field, src), VecObj(field, dst),
+                          Matrix.from_rows(field, rows))
+
+        def cosp():
+            return Cospan(lin(1, 2, [[1], [half]]), lin(2, 2, [[1, 0], [0, 1]]))
+
+        def span():
+            return Span(lin(1, 1, [[1]]), lin(1, 2, [[1], [half]]))
+
+        c, s = cosp(), span()
+        zero = VecObj(field, 0)
+        empty = LinMap(zero, zero, Matrix.zeros(field, 0, 0))
+        return [
+            (C, [rebuilt, summed], ["field", "dims", "diffs"]),
+            (ident, [chain_identity(C), chain_identity(summed)],
+             ["src", "dst", "comps"]),
+            (c, [cosp(), dagger_cosp(dagger_cosp(c)),
+                 tensor_cosp(c, Cospan(empty, empty))], ["f0", "f1"]),
+            (s, [span(), dagger_span(dagger_span(s)), transpose_cosp(c),
+                 tensor_span(s, Span(empty, empty))], ["g0", "g1"]),
+        ]
 
     @pytest.mark.parametrize("field", FIELDS, ids=("GF2", "GF3", "QQ"))
     def test_equal_values_from_different_routes_hash_equal(self, field):
-        C, others, f, maps = self._routes(field)
-        for x, ys in ((C, others), (f, maps)):
+        for x, ys, _ in self._routes(field):
             for y in ys:
                 assert y == x and y is not x
                 assert hash(y) == hash(x)
@@ -663,11 +698,7 @@ class TestChainHashOnce:
                 assert [hash(y) for _ in range(3)] == [hash(x)] * 3
 
     def test_cached_hash_is_not_part_of_the_value(self):
-        C, (D, _), f, (g, _) = self._routes(QQ)
-        for x, y, names in (
-            (C, D, ["field", "dims", "diffs"]),
-            (f, g, ["src", "dst", "comps"]),
-        ):
+        for x, (y, *_), names in self._routes(QQ):
             before = repr(x)
             hash(x)
             assert repr(x) == before == repr(y)
@@ -675,15 +706,28 @@ class TestChainHashOnce:
             assert [a.name for a in dataclasses.fields(x)] == names
 
     def test_lru_cache_hits_on_an_equal_distinct_key(self):
-        C, (D, _), f, (g, _) = self._routes(GF3)
-
         @lru_cache(maxsize=None)
         def probe(x):
             return object()
 
-        assert probe(C) is probe(D)
-        assert probe(f) is probe(g)
-        assert (probe.cache_info().hits, probe.cache_info().misses) == (2, 2)
+        for x, (y, *_), _ in self._routes(GF3):
+            assert probe(x) is probe(y)
+        assert (probe.cache_info().hits, probe.cache_info().misses) == (4, 4)
+
+    def test_a_second_hash_of_an_arrow_pair_hashes_no_leg(self, monkeypatch):
+        # canonical_cosp and canonical_span look the same pair up many times
+        _, _, (c, *_), (s, *_) = self._routes(QQ)
+        first = hash(c), hash(s)
+        calls = []
+        real = LinMap.__hash__
+
+        def counted(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(LinMap, "__hash__", counted)
+        assert (hash(c), hash(s)) == first
+        assert calls == []
 
 
 # Reference gluing: the composite of validated structural maps that

@@ -24,6 +24,7 @@ from abcosp.exactlin import (
     ShapeError,
     block_matrix,
     direct_sum,
+    hash_once,
     hstack,
     image_basis,
     kernel_basis,
@@ -508,6 +509,22 @@ class TestHashOnce:
         r(a)
         r(b)
         assert (r.cache_info().hits, r.cache_info().misses) == (1, 1)
+
+    def test_fewer_than_two_fields_are_refused(self):
+        # the key of one field would be the bare field, not the 1-tuple the
+        # dataclass hashes
+        @dataclasses.dataclass(frozen=True)
+        class One:
+            x: int
+
+        @dataclasses.dataclass(frozen=True)
+        class Empty:
+            pass
+
+        for cls in (One, Empty):
+            with pytest.raises(TypeError, match="two or more fields"):
+                hash_once(cls)
+            assert cls.__hash__ is not None and "_hash" not in vars(cls)
 
 
 # Reference constructions: block matrices stacked from explicit zero blocks,
